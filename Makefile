@@ -2,7 +2,7 @@ GO ?= go
 BENCH ?= .
 BENCHCOUNT ?= 5
 
-.PHONY: all fmt fmt-check vet staticcheck build test race chaos chaos-failover bench bench-target bench-json bench-peers bench-offload bench-tenants bench-ckpt bench-smoke fuzz-smoke check clean
+.PHONY: all fmt fmt-check vet staticcheck build test bench-check race chaos chaos-failover bench bench-target bench-json bench-peers bench-tenants bench-ckpt bench-smoke fuzz-smoke check clean
 
 all: check
 
@@ -36,6 +36,12 @@ build:
 # give the suite generous headroom.
 test:
 	$(GO) test -timeout 20m ./...
+
+# bench/ is a module of its own (it must build from a bare checkout), so
+# `go test ./...` at the root never compiles it. This is what notices a
+# refactor that breaks the benchmark.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/nvmetcp ./internal/live ./internal/chaos ./internal/bufpool ./internal/blockdev \
@@ -85,13 +91,6 @@ bench-json:
 bench-peers:
 	$(GO) run ./cmd/dlfsbench -peers -json BENCH_PEERS.json
 
-# Near-data sample assembly measurement: cold-epoch wire bytes and
-# throughput on an edge-heavy layout, opReadVec baseline vs server
-# assembly vs assembly+crc32c. CI uploads the report as a build
-# artifact and cmd/dlfsbench/offload_test.go asserts the committed one.
-bench-offload:
-	$(GO) run ./cmd/dlfsbench -offload -json BENCH_8.json
-
 # Multi-tenant isolation gate: a paced victim tenant's queue-wait p99
 # solo vs under a greedy quota-capped co-tenant. The bench itself exits
 # non-zero when the bound is violated, so this target IS the CI gate;
@@ -127,7 +126,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCoordFrame -fuzztime 10s ./internal/coord
 	$(GO) test -run '^$$' -fuzz FuzzPeerFrame -fuzztime 10s ./internal/peercache
 
-check: fmt-check vet staticcheck build test race chaos
+check: fmt-check vet staticcheck build test bench-check race chaos
 
 clean:
 	$(GO) clean ./...

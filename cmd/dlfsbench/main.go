@@ -16,10 +16,6 @@
 //	                           # multi-rank cooperative peer cache bench:
 //	                           # per-rank origin wire bytes with the
 //	                           # cache off vs on
-//	dlfsbench -offload -json BENCH_8.json
-//	                           # near-data assembly bench: cold-epoch wire
-//	                           # bytes and throughput, opReadVec baseline
-//	                           # vs server assembly on an edge-heavy layout
 //	dlfsbench -tenants -json BENCH_TENANTS.json
 //	                           # multi-tenant isolation bench: a paced
 //	                           # victim's queue-wait p99 solo vs under a
@@ -81,10 +77,9 @@ func main() {
 	list := flag.Bool("list", false, "list available figures and exit")
 	liveBench := flag.Bool("live", false, "run the live TCP epoch bench instead of the figures")
 	peerBench := flag.Bool("peers", false, "run the multi-rank peer-cache wire bench instead of the figures")
-	offloadBench := flag.Bool("offload", false, "run the near-data sample-assembly wire bench instead of the figures")
 	tenantBench := flag.Bool("tenants", false, "run the multi-tenant isolation bench instead of the figures")
 	ckptBench := flag.Bool("checkpoint", false, "run the checkpoint-ingest write-path bench instead of the figures")
-	jsonOut := flag.String("json", "", "bench JSON report path (- for stdout; default BENCH_7.json / BENCH_PEERS.json / BENCH_8.json / BENCH_TENANTS.json / BENCH_CKPT.json)")
+	jsonOut := flag.String("json", "", "bench JSON report path (- for stdout; default BENCH_7.json / BENCH_PEERS.json / BENCH_TENANTS.json / BENCH_CKPT.json)")
 	flag.Parse()
 
 	if *liveBench {
@@ -104,17 +99,6 @@ func main() {
 			out = "BENCH_PEERS.json"
 		}
 		if err := runPeerBench(out, *scale); err != nil {
-			fmt.Fprintln(os.Stderr, "dlfsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *offloadBench {
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_8.json"
-		}
-		if err := runOffloadBench(out, *scale); err != nil {
 			fmt.Fprintln(os.Stderr, "dlfsbench:", err)
 			os.Exit(1)
 		}

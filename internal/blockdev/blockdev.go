@@ -317,6 +317,11 @@ func (s *Store) ReadAt(p []byte, off int64) (int, error) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.readLocked(p, off), nil
+}
+
+// readLocked fills p from off. Caller holds s.mu (read or write).
+func (s *Store) readLocked(p []byte, off int64) int {
 	n := 0
 	for n < len(p) {
 		ext := (off + int64(n)) / extentSize
@@ -331,6 +336,30 @@ func (s *Store) ReadAt(p []byte, off int64) (int, error) {
 			zero(p[n : n+chunk])
 		}
 		n += chunk
+	}
+	return n
+}
+
+// ReadVecAt is the read-side twin of WriteVecAt: it fills p with the
+// ranges (offs[i], lens[i]) concatenated in order, under a single lock
+// acquisition, so a gathered write can never land between two of them
+// and the result is one generation of every range.
+func (s *Store) ReadVecAt(p []byte, offs []int64, lens []int) (int, error) {
+	total := 0
+	for i, ln := range lens {
+		if err := s.check(offs[i], ln); err != nil {
+			return 0, err
+		}
+		total += ln
+	}
+	if total != len(p) {
+		return 0, fmt.Errorf("%w: scattering %d described bytes into %d", ErrOutOfRange, total, len(p))
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for i, ln := range lens {
+		n += s.readLocked(p[n:n+ln], offs[i])
 	}
 	return n, nil
 }

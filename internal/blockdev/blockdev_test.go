@@ -69,6 +69,25 @@ func TestPartialOverlapReads(t *testing.T) {
 	}
 }
 
+func TestReadVecAtGathersRanges(t *testing.T) {
+	s := New(4 << 20)
+	s.WriteAt([]byte{1, 2, 3, 4}, 100)  //nolint:errcheck
+	s.WriteAt([]byte{9, 8, 7}, 2<<20+5) //nolint:errcheck
+	got := make([]byte, 7)
+	if n, err := s.ReadVecAt(got, []int64{2<<20 + 6, 99, 3 << 20}, []int{2, 3, 2}); err != nil || n != 7 {
+		t.Fatalf("n=%d err=%v", n, err)
+	}
+	if want := []byte{8, 7, 0, 1, 2, 0, 0}; !bytes.Equal(got, want) {
+		t.Fatalf("got %v want %v", got, want)
+	}
+	if _, err := s.ReadVecAt(got, []int64{0, 4<<20 - 1}, []int{5, 2}); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("range past end: %v", err)
+	}
+	if _, err := s.ReadVecAt(got, []int64{0}, []int{6}); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("described bytes != buffer: %v", err)
+	}
+}
+
 func TestOutOfRange(t *testing.T) {
 	s := New(1000)
 	if _, err := s.WriteAt(make([]byte, 10), 995); !errors.Is(err, ErrOutOfRange) {

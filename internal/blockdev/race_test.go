@@ -162,50 +162,65 @@ func TestRaceWriteVsPinnedView(t *testing.T) {
 // TestRaceWriteVecAtomicity checks that a gathered multi-extent write is
 // torn-free as a unit: concurrent readers of the whole stripe must
 // always see a single generation across every extent, because WriteVecAt
-// applies all extents under one lock hold and one epoch bump.
+// applies all extents under one lock hold and one epoch bump. A
+// contiguous stripe is read with one ReadAt; a scattered one needs
+// ReadVecAt, since one ReadAt per range lets a write land between two.
 func TestRaceWriteVecAtomicity(t *testing.T) {
-	s := New(16 << 20)
-	const stripe = 3
-	offs := []int64{0, extentSize, 2 * extentSize}
 	lens := []int{extentSize, extentSize, extentSize}
-	seed := bytes.Repeat([]byte{1}, stripe*extentSize)
-	if _, err := s.WriteVecAt(seed, offs, lens); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		offs  []int64
+		iters int // one ReadAt per range tears within the first few
+		read  func(s *Store, p []byte, offs []int64) (int, error)
+	}{
+		{"contiguous-ReadAt", []int64{0, extentSize, 2 * extentSize}, 500,
+			func(s *Store, p []byte, offs []int64) (int, error) { return s.ReadAt(p, offs[0]) }},
+		{"scattered-ReadVecAt", []int64{0, 2 * extentSize, 5 * extentSize}, 100,
+			func(s *Store, p []byte, offs []int64) (int, error) { return s.ReadVecAt(p, offs, lens) }},
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		gen := byte(2)
-		data := make([]byte, stripe*extentSize)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(16 << 20)
+			stripe := len(lens) * extentSize
+			if _, err := s.WriteVecAt(bytes.Repeat([]byte{1}, stripe), tc.offs, lens); err != nil {
+				t.Fatal(err)
 			}
-			for i := range data {
-				data[i] = gen
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				gen := byte(2)
+				data := make([]byte, stripe)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for i := range data {
+						data[i] = gen
+					}
+					s.WriteVecAt(data, tc.offs, lens) //nolint:errcheck
+					gen++
+					if gen == 0 {
+						gen = 2
+					}
+				}
+			}()
+			got := make([]byte, stripe)
+			for iter := 0; iter < tc.iters; iter++ {
+				if n, err := tc.read(s, got, tc.offs); err != nil || n != stripe {
+					t.Fatalf("read %d of %d bytes: %v", n, stripe, err)
+				}
+				if g, ok := oneGeneration(got); !ok {
+					t.Fatalf("torn stripe: generations mixed with %d at iter %d", g, iter)
+				}
 			}
-			s.WriteVecAt(data, offs, lens) //nolint:errcheck
-			gen++
-			if gen == 0 {
-				gen = 2
-			}
-		}
-	}()
-	got := make([]byte, stripe*extentSize)
-	for iter := 0; iter < 500; iter++ {
-		if _, err := s.ReadAt(got, 0); err != nil {
-			t.Fatal(err)
-		}
-		if g, ok := oneGeneration(got); !ok {
-			t.Fatalf("torn stripe: generations mixed with %d at iter %d", g, iter)
-		}
+			close(stop)
+			wg.Wait()
+		})
 	}
-	close(stop)
-	wg.Wait()
 }
 
 // TestRaceSyncBarrier checks the durability-barrier contract: once a

@@ -255,7 +255,10 @@ func mountWithSession(cl coord.Session, rank, world int, addrs []string, ds *dat
 		coord:    cl,
 		mstats:   mm,
 	}
-	fs.finishSetup()
+	if err := fs.finishSetup(); err != nil {
+		fs.Close() //nolint:errcheck
+		return nil, err
+	}
 	// Cooperative peer cache: host this rank's sample service and learn
 	// every peer's address through one more allgather. PeerCache must be
 	// set identically on all ranks or the collective wedges until the
@@ -326,11 +329,10 @@ func (fs *FS) SequenceSlice(seed int64, rank, world int) (*Epoch, error) {
 // ReshardSequence) can be placed. The count depends only on the
 // deterministic placement, never on the seed.
 func (fs *FS) EpochUnits() (int, error) {
-	units, err := fs.buildUnits()
-	if err != nil {
-		return 0, err
+	if fs.closed.Load() {
+		return 0, ErrClosed
 	}
-	return len(units), nil
+	return len(fs.unitPlan), nil
 }
 
 // SequenceRange starts rank's 1/world slice of the units [lo, hi) of the

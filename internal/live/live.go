@@ -218,6 +218,7 @@ type FS struct {
 	placed   []plan.Placed
 	nodeOf   []uint16
 	keyIdx   map[uint64]int
+	unitPlan []unit      // sorted by (node, offset); epochs copy it, never touch it
 	closed   atomic.Bool // atomic: the peer-cache server races remote requests against Close
 
 	prefetchState // cross-epoch lookahead (Config.CrossEpochPrefetch)
@@ -300,7 +301,10 @@ func Mount(addrs []string, ds *dataset.Dataset, cfg Config) (*FS, error) {
 		keyIdx:   keyIdx,
 		world:    1,
 	}
-	fs.finishSetup()
+	if err := fs.finishSetup(); err != nil {
+		fs.Close() //nolint:errcheck
+		return nil, err
+	}
 	return fs, nil
 }
 
@@ -346,8 +350,8 @@ func dialTargets(addrs []string, cfg Config, counters *metrics.Resilience) ([]*t
 }
 
 // finishSetup attaches the stage histograms, buffer pool and read cache
-// configured by cfg.
-func (fs *FS) finishSetup() {
+// configured by cfg, and builds the unit plan.
+func (fs *FS) finishSetup() error {
 	if fs.cfg.StageHistograms {
 		fs.pipe.Hist = &metrics.PipelineHist{}
 	}
@@ -361,6 +365,7 @@ func (fs *FS) finishSetup() {
 		fs.prefetch = newPrefetchStore(fs.cfg.PrefetchBudgetBytes, fs.pipe, fs.Recycle)
 	}
 	fs.prefetchStop = make(chan struct{})
+	return fs.planUnits()
 }
 
 // Directory exposes the sample directory.
@@ -519,7 +524,10 @@ type Item struct {
 	Data  []byte
 }
 
-// unit mirrors the core package's fetch granule.
+// unit is the fetch granule: the span of one chunk's complete samples,
+// or one edge sample (DESIGN.md §9). node, offset, length and samples
+// are the mount's plan; the rest is the state of the one epoch or
+// lookahead round that copied it.
 type unit struct {
 	seq     int // position in this epoch's (sliced) fetch order, for tracing
 	node    uint16
@@ -535,6 +543,10 @@ type unit struct {
 	// NextBatch hands the buffers out directly. Entries are nil'ed as
 	// they are emitted; ownership of the remainder stays with the unit.
 	assembled [][]byte
+
+	// raw holds the unit's byte range in one pool buffer: where a
+	// lookahead round lands a chunk-path unit on its way to the store.
+	raw []byte
 }
 
 // chunkCount returns how many cache chunks the unit spans.
@@ -542,7 +554,6 @@ func (u *unit) chunkCount(cs int) int { return (int(u.length) + cs - 1) / cs }
 
 // fetchGroup is a set of same-target units coalesced into one wire read.
 type fetchGroup struct {
-	node  uint16
 	units []*unit
 }
 
@@ -589,66 +600,57 @@ func (fs *FS) sequence(seed int64, rank, world int) (*Epoch, error) {
 	return fs.sequenceRange(seed, rank, world, 0, -1)
 }
 
-// buildUnits constructs the deterministic (unshuffled) unit plan.
-func (fs *FS) buildUnits() ([]*unit, error) {
-	if fs.closed.Load() {
-		return nil, ErrClosed
-	}
-	n := len(fs.targets)
-	layout := &plan.Layout{NodeSamples: make([][]plan.Placed, n), ChunkSize: int64(fs.cfg.ChunkSize)}
-	for idx, pl := range fs.placed {
+// planUnits builds the unit plan from the placement. The paper's chunk
+// grid decides which samples share a unit and which are edges; a chunk
+// unit then reads the span of its complete samples, not the grid cell,
+// so every sample byte is in exactly one unit, no unit holds anything
+// else, and an epoch pulls the dataset's bytes once. The plan is a pure
+// function of the mount. Sorted by (node, offset), a total order because
+// the ranges are disjoint, it is where every seeded shuffle starts, so
+// the slice a rank consumes depends only on the seed and the placement.
+func (fs *FS) planUnits() error {
+	layout := &plan.Layout{NodeSamples: make([][]plan.Placed, len(fs.targets)), ChunkSize: int64(fs.cfg.ChunkSize)}
+	for idx, pl := range fs.placed { // index order is offset order on every node
 		nid := fs.nodeOf[idx]
 		layout.NodeSamples[nid] = append(layout.NodeSamples[nid], pl)
 	}
-	for nid := range layout.NodeSamples {
-		s := layout.NodeSamples[nid]
-		sort.Slice(s, func(i, j int) bool { return s[i].Offset < s[j].Offset })
-	}
 	cp, err := plan.BuildChunkPlan(layout)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var units []*unit
-	for _, c := range cp.Chunks {
-		units = append(units, &unit{node: c.Node, offset: c.Offset, length: c.Length, samples: c.Samples})
+	units := make([]unit, 0, len(cp.Chunks)+len(cp.Edges))
+	for i := range cp.Chunks {
+		c := &cp.Chunks[i]
+		off, n := c.Span()
+		units = append(units, unit{node: c.Node, offset: off, length: n, samples: c.Samples})
 	}
-	for _, e := range cp.Edges {
-		units = append(units, &unit{node: e.Node, offset: e.Placed.Offset, length: e.Placed.Len, samples: []plan.Placed{e.Placed}})
+	edges := make([]plan.Placed, len(cp.Edges))
+	for i, e := range cp.Edges {
+		edges[i] = e.Placed
+		units = append(units, unit{node: e.Node, offset: e.Placed.Offset, length: e.Placed.Len, samples: edges[i : i+1 : i+1]})
 	}
-	// Deterministic global order: sort by (node, offset) before the
-	// seeded shuffle so the slice a rank consumes depends only on the
-	// seed and the placement, never on plan-construction order.
 	sort.Slice(units, func(i, j int) bool {
 		if units[i].node != units[j].node {
 			return units[i].node < units[j].node
 		}
-		if units[i].offset != units[j].offset {
-			return units[i].offset < units[j].offset
-		}
-		// A chunk-aligned edge sample larger than the chunk size can
-		// share (node, offset) with a chunk; length breaks the tie.
-		return units[i].length < units[j].length
+		return units[i].offset < units[j].offset
 	})
-	return units, nil
+	fs.unitPlan = units
+	return nil
 }
 
-// sequenceRange builds the seeded global unit order, restricts it to
-// units [lo, hi) (hi < 0 means the end), and starts the fetch pipeline
-// over the rank-th of world slices of that range. Assignment within the
-// range is cut-relative — unit i goes to rank (i-lo) % world — so after
-// an elastic membership change the survivors can repartition exactly
-// the unconsumed suffix among themselves (DESIGN.md §13).
-func (fs *FS) sequenceRange(seed int64, rank, world, lo, hi int) (*Epoch, error) {
-	// Cross-epoch prefetch only predicts full-range epochs: a mid-epoch
-	// cut (reshard) changes the assignment rule, so lookahead for it
-	// would be guessing.
-	fullRange := lo == 0 && hi < 0
-	units, err := fs.buildUnits()
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
+// epochUnits copies the plan into one slab of per-epoch unit state,
+// shuffles it by seed, restricts it to units [lo, hi) of the global
+// order (hi < 0 means the end) and keeps the rank-th of world slices of
+// that range. Assignment within the range is cut-relative — unit i goes
+// to rank (i-lo) % world — so after an elastic membership change the
+// survivors can repartition exactly the unconsumed suffix among
+// themselves (DESIGN.md §13). An epoch and the lookahead round that
+// predicts it both call this, so the prediction cannot diverge.
+func (fs *FS) epochUnits(seed int64, rank, world, lo, hi int) []unit {
+	units := make([]unit, len(fs.unitPlan))
+	copy(units, fs.unitPlan)
+	rand.New(rand.NewSource(seed)).Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
 	if hi < 0 || hi > len(units) {
 		hi = len(units)
 	}
@@ -657,18 +659,34 @@ func (fs *FS) sequenceRange(seed int64, rank, world, lo, hi int) (*Epoch, error)
 	}
 	units = units[lo:hi]
 	if world > 1 {
-		slice := units[:0:0]
+		n := 0
 		for i := rank; i < len(units); i += world {
-			slice = append(slice, units[i])
+			units[n] = units[i]
+			n++
 		}
-		units = slice
+		units = units[:n]
 	}
-	total := 0
-	for i, u := range units {
-		u.seq = i
-		total += len(u.samples)
+	for i := range units {
+		units[i].seq = i
 	}
+	return units
+}
 
+// sequenceRange starts the fetch pipeline over the rank-th of world
+// slices of units [lo, hi) of the seeded global order (see epochUnits).
+func (fs *FS) sequenceRange(seed int64, rank, world, lo, hi int) (*Epoch, error) {
+	if fs.closed.Load() {
+		return nil, ErrClosed
+	}
+	// Cross-epoch prefetch only predicts full-range epochs: a mid-epoch
+	// cut (reshard) changes the assignment rule, so lookahead for it
+	// would be guessing.
+	fullRange := lo == 0 && hi < 0
+	units := fs.epochUnits(seed, rank, world, lo, hi)
+	total := 0
+	for i := range units {
+		total += len(units[i].samples)
+	}
 	ep := &Epoch{
 		fs:       fs,
 		rng:      rand.New(rand.NewSource(seed ^ 0x9E3779B9)),
@@ -678,8 +696,29 @@ func (fs *FS) sequenceRange(seed int64, rank, world, lo, hi int) (*Epoch, error)
 		degNodes: make(map[int]struct{}),
 		total:    total,
 	}
-	// Fetch pipeline: the dispatcher below coalesces the shuffled unit
-	// stream into groups drained by Prefetchers workers.
+	go func() {
+		fs.pump(units, ep.abort, ep.fetch)
+		// Every group of this epoch is fetched, so the queue pairs idle
+		// while the consumer drains the last window: the lookahead round
+		// starts here. Not before the workers are done: a round that
+		// parks a unit while this epoch's entry for the same unit still
+		// waits to be taken is refused as a duplicate, and the next epoch
+		// then finds that unit missing.
+		if fs.prefetch != nil && fullRange {
+			fs.maybePrefetch(fs.nextSeed(seed), rank, world)
+		}
+		close(ep.ready)
+	}()
+	return ep, nil
+}
+
+// pump is the fetch engine, the one an epoch and a lookahead round both
+// run on: Prefetchers workers hand each coalesced group to fetch while
+// the caller's goroutine walks units through the coalescer. It returns
+// when every group is fetched. Closing stop makes the coalescer drop
+// what it has not handed out; fetch may return false, which retires its
+// worker, only once stop is closed.
+func (fs *FS) pump(units []unit, stop <-chan struct{}, fetch func(*fetchGroup) bool) {
 	work := make(chan *fetchGroup)
 	var wg sync.WaitGroup
 	for w := 0; w < fs.cfg.Prefetchers; w++ {
@@ -687,48 +726,15 @@ func (fs *FS) sequenceRange(seed int64, rank, world, lo, hi int) (*Epoch, error)
 		go func() {
 			defer wg.Done()
 			for g := range work {
-				err := ep.fetchGroup(g)
-				if err == nil {
-					for gi, u := range g.units {
-						select {
-						case ep.ready <- u:
-						case <-ep.abort:
-							for _, v := range g.units[gi:] {
-								fs.freeUnit(v)
-							}
-							return
-						}
-					}
-					continue
+				if !fetch(g) {
+					return
 				}
-				if fs.cfg.AllowDegraded && degradable(err) {
-					for _, u := range g.units {
-						ep.noteSkip(u)
-					}
-					continue
-				}
-				select {
-				case ep.errCh <- err:
-				default:
-				}
-				ep.abortOnce.Do(func() { close(ep.abort) })
-				return
 			}
 		}()
 	}
-	go func() {
-		ep.dispatch(units, work)
-		close(work)
-		// All of this epoch's groups are handed out: the queue pairs now
-		// mostly idle between completions, which is the window the
-		// clairvoyant prefetcher fills with next-epoch reads.
-		if fs.prefetch != nil && fullRange {
-			fs.maybePrefetch(fs.nextSeed(seed), rank, world)
-		}
-		wg.Wait()
-		close(ep.ready)
-	}()
-	return ep, nil
+	fs.dispatch(units, work, stop)
+	close(work)
+	wg.Wait()
 }
 
 // dispatch walks the shuffled unit order, merging each unit with
@@ -736,25 +742,24 @@ func (fs *FS) sequenceRange(seed int64, rank, world, lo, hi int) (*Epoch, error)
 // window, bounded by CoalesceBytes and half the arena (so blocking
 // group allocations always complete). A unit too large for the caps
 // still ships as its own group.
-func (ep *Epoch) dispatch(units []*unit, work chan<- *fetchGroup) {
-	fs := ep.fs
+func (fs *FS) dispatch(units []unit, work chan<- *fetchGroup, stop <-chan struct{}) {
 	cs := fs.cfg.ChunkSize
 	maxChunks := fs.arena.Arena().NumChunks() / 2
 	if maxChunks < 1 {
 		maxChunks = 1
 	}
 	taken := make([]bool, len(units))
-	for i := 0; i < len(units); i++ {
+	for i := range units {
 		if taken[i] {
 			continue
 		}
 		taken[i] = true
-		g := &fetchGroup{node: units[i].node, units: []*unit{units[i]}}
+		g := &fetchGroup{units: []*unit{&units[i]}}
 		if !fs.cfg.NoCoalesce {
 			bytes := int64(units[i].length)
 			chunks := units[i].chunkCount(cs)
 			for j := i + 1; j < len(units) && j <= i+fs.cfg.PrefetchDepth; j++ {
-				if taken[j] || units[j].node != g.node {
+				if taken[j] || units[j].node != units[i].node {
 					continue
 				}
 				cb := int64(units[j].length)
@@ -763,7 +768,7 @@ func (ep *Epoch) dispatch(units []*unit, work chan<- *fetchGroup) {
 					continue
 				}
 				taken[j] = true
-				g.units = append(g.units, units[j])
+				g.units = append(g.units, &units[j])
 				bytes += cb
 				chunks += cc
 			}
@@ -773,9 +778,42 @@ func (ep *Epoch) dispatch(units []*unit, work chan<- *fetchGroup) {
 		}
 		select {
 		case work <- g:
-		case <-ep.abort:
+		case <-stop:
 		}
 	}
+}
+
+// fetch is an epoch's side of the engine: bring one group into the cache
+// and hand its units to the consumer. In degraded mode a group on a down
+// target is skipped; any other failure ends the epoch.
+func (ep *Epoch) fetch(g *fetchGroup) bool {
+	fs := ep.fs
+	err := ep.fetchGroup(g)
+	switch {
+	case err == nil:
+		for gi, u := range g.units {
+			select {
+			case ep.ready <- u:
+			case <-ep.abort:
+				for _, v := range g.units[gi:] {
+					fs.freeUnit(v)
+				}
+				return false
+			}
+		}
+	case fs.cfg.AllowDegraded && degradable(err):
+		for _, u := range g.units {
+			ep.noteSkip(u)
+		}
+	default:
+		select {
+		case ep.errCh <- err:
+		default:
+		}
+		ep.abortOnce.Do(func() { close(ep.abort) })
+		return false
+	}
+	return true
 }
 
 // noteSkip records a unit dropped in degraded mode.
@@ -801,7 +839,7 @@ func (ep *Epoch) degradedNodes() []int {
 
 // fetchGroup brings a coalesced group into cache chunks: lookahead
 // store hits are copied straight in (no wire), the remainder goes
-// through the wire pipeline. A wire failure releases every chunk of
+// through the wire routine. A wire failure releases every chunk of
 // the group — including store-served ones — before returning so
 // degraded skips never leak arena memory.
 func (ep *Epoch) fetchGroup(g *fetchGroup) error {
@@ -813,7 +851,7 @@ func (ep *Epoch) fetchGroup(g *fetchGroup) error {
 			return nil
 		}
 	}
-	if err := ep.fetchWire(g.node, misses); err != nil {
+	if err := fs.fetchWire(misses, false); err != nil {
 		for _, u := range g.units {
 			fs.freeUnit(u)
 		}
@@ -822,37 +860,78 @@ func (ep *Epoch) fetchGroup(g *fetchGroup) error {
 	return nil
 }
 
-// freeUnit releases whatever payload a unit holds — arena cache chunks
-// and/or server-assembled sample buffers — after a failure or abort.
+// freeUnit releases whatever payload a unit holds — arena cache chunks,
+// server-assembled sample buffers or a raw range — after a failure or
+// abort.
 func (fs *FS) freeUnit(u *unit) {
 	if u.chunks != nil {
 		fs.arena.Free(u.chunks)
 		u.chunks = nil
 	}
-	if u.assembled != nil {
-		for _, b := range u.assembled {
-			fs.Recycle(b)
+	for _, b := range u.assembled {
+		fs.Recycle(b)
+	}
+	fs.Recycle(u.raw)
+	u.assembled, u.raw = nil, nil
+}
+
+// waitAll waits for every posted command and returns the first error,
+// err itself when posting already failed.
+func waitAll(pendings []*nvmetcp.RePending, err error) error {
+	for _, pd := range pendings {
+		if _, werr := pd.Wait(); werr != nil && err == nil {
+			err = werr
 		}
-		u.assembled = nil
+	}
+	return err
+}
+
+// observeStages books an epoch's fetch on the prep, post and poll stage
+// timers, given when each stage began; poll ends now. A parked fetch is
+// left out (see landed).
+func (fs *FS) observeStages(park bool, prep, post, poll time.Time) {
+	if !park {
+		fs.pipe.ObservePrep(post.Sub(prep))
+		fs.pipe.ObservePost(poll.Sub(post))
+		fs.pipe.ObservePoll(time.Since(poll))
 	}
 }
 
-// fetchWire is the wire half of fetchGroup. Prep stage: allocate every
-// unit's chunks from the blocking arena and build the scatter list (one
-// segment per chunk, each pointing into huge-page memory — the
-// response payload lands there with no intermediate copy). Post stage:
-// one vectored command on the target's next queue pair (or one command
-// per chunk in NoCoalesce mode). Poll stage: wait for completion. The
-// target's breaker gates the fetch; on failure the misses' chunks are
-// freed and nil'ed before returning.
-func (ep *Epoch) fetchWire(node uint16, units []*unit) error {
-	fs := ep.fs
-	tg := fs.targets[node]
+// landed books a fetch that succeeded. An epoch's goes on the wire
+// counters and the trace. A lookahead round's (park) goes on the
+// prefetch counters only: it runs beside the consume window of the epoch
+// before, whose wire reads and stage times must stay that epoch's own.
+func (fs *FS) landed(units []*unit, park bool, cmds, segs int, bytes int64) {
+	if park {
+		fs.pipe.PrefetchedUnits.Add(int64(len(units)))
+		fs.pipe.PrefetchedBytes.Add(bytes)
+		return
+	}
+	fs.pipe.WireReads.Add(int64(cmds))
+	fs.pipe.WireSegments.Add(int64(segs))
+	fs.pipe.WireBytes.Add(bytes)
+	for _, u := range units {
+		fs.cfg.Trace.Record(trace.KindComplete, u.seq, u.node, int(u.length))
+	}
+}
+
+// fetchWire is the one wire routine: it reads a same-target group of
+// units, and park says where their bytes land. An epoch (park false)
+// lands them in arena chunks, one segment per chunk pointing into
+// huge-page memory, so the response payload arrives there with no
+// intermediate copy; a lookahead round (park true) lands each unit in
+// one pool buffer, u.raw, which its caller parks in the store. Prep
+// builds the scatter list, post puts one vectored command on the
+// target's next queue pair (or one command per segment in NoCoalesce
+// mode), poll waits. The target's breaker gates the fetch; on failure
+// the units hold nothing.
+func (fs *FS) fetchWire(units []*unit, park bool) error {
+	tg := fs.targets[units[0].node]
 	if !tg.brk.Allow() {
 		return fmt.Errorf("%w: %s circuit open", ErrDegraded, tg.addr)
 	}
 	if fs.cfg.ServerAssembly && !tg.noAssembly.Load() {
-		err := ep.fetchAssembled(tg, units)
+		err := fs.fetchAssembled(tg, units, park)
 		var ue *nvmetcp.UnsupportedOpError
 		if !errors.As(err, &ue) {
 			return err
@@ -864,83 +943,61 @@ func (ep *Epoch) fetchWire(node uint16, units []*unit) error {
 		fs.pipe.OffloadDowngrades.Add(1)
 	}
 	prep := time.Now()
-	cs := fs.cfg.ChunkSize
-	total := 0
-	for _, u := range units {
-		total += u.chunkCount(cs)
-	}
-	all := fs.arena.AllocN(total)
-	segs := make([]nvmetcp.Seg, 0, total)
-	k := 0
+	var segs []nvmetcp.Seg
 	var bytes int64
-	for _, u := range units {
-		nc := u.chunkCount(cs)
-		u.chunks = all[k : k+nc]
-		k += nc
-		for ci := 0; ci < nc; ci++ {
-			segLen := cs
-			if rem := int(u.length) - ci*cs; rem < segLen {
-				segLen = rem
+	if park {
+		segs = make([]nvmetcp.Seg, len(units))
+		for i, u := range units {
+			u.raw = fs.alloc(int(u.length))
+			segs[i] = nvmetcp.Seg{Dst: u.raw, Off: u.offset}
+			bytes += int64(u.length)
+		}
+	} else {
+		cs := fs.cfg.ChunkSize
+		total := 0
+		for _, u := range units {
+			total += u.chunkCount(cs)
+		}
+		all := fs.arena.AllocN(total)
+		segs = make([]nvmetcp.Seg, 0, total)
+		for _, u := range units {
+			nc := u.chunkCount(cs)
+			u.chunks, all = all[:nc:nc], all[nc:]
+			for ci, c := range u.chunks {
+				segLen := min(cs, int(u.length)-ci*cs)
+				segs = append(segs, nvmetcp.Seg{Dst: c.Bytes()[:segLen], Off: u.offset + int64(ci*cs)})
 			}
-			segs = append(segs, nvmetcp.Seg{Dst: u.chunks[ci].Bytes()[:segLen], Off: u.offset + int64(ci*cs)})
-			bytes += int64(segLen)
+			bytes += int64(u.length)
+			fs.cfg.Trace.Record(trace.KindPost, u.seq, u.node, int(u.length))
 		}
 	}
-	fs.pipe.ObservePrep(time.Since(prep))
-	for _, u := range units {
-		fs.cfg.Trace.Record(trace.KindPost, u.seq, u.node, int(u.length))
-	}
-
-	var ferr error
 	post := time.Now()
+	var pendings []*nvmetcp.RePending
+	var err error
 	if fs.cfg.NoCoalesce {
-		pendings := make([]*nvmetcp.RePending, 0, len(segs))
 		for _, s := range segs {
-			pd, err := tg.qp.ReadAsync(s.Dst, s.Off)
-			if err != nil {
-				ferr = err
+			var pd *nvmetcp.RePending
+			if pd, err = tg.qp.ReadAsync(s.Dst, s.Off); err != nil {
 				break
 			}
 			pendings = append(pendings, pd)
 		}
-		fs.pipe.ObservePost(time.Since(post))
-		poll := time.Now()
-		for _, pd := range pendings {
-			if _, err := pd.Wait(); err != nil && ferr == nil {
-				ferr = err
-			}
-		}
-		fs.pipe.ObservePoll(time.Since(poll))
-		if ferr == nil {
-			fs.pipe.WireReads.Add(int64(len(pendings)))
-			fs.pipe.WireSegments.Add(int64(len(pendings)))
-		}
+	} else if pd, perr := tg.qp.ReadVecAsync(segs); perr != nil {
+		err = perr
 	} else {
-		pd, err := tg.qp.ReadVecAsync(segs)
-		fs.pipe.ObservePost(time.Since(post))
-		poll := time.Now()
-		if err == nil {
-			_, err = pd.Wait()
-		}
-		fs.pipe.ObservePoll(time.Since(poll))
-		ferr = err
-		if ferr == nil {
-			fs.pipe.WireReads.Add(1)
-			fs.pipe.WireSegments.Add(int64(len(segs)))
-		}
+		pendings = append(pendings, pd)
 	}
-	if ferr != nil {
-		fs.arena.Free(all)
+	poll := time.Now()
+	err = waitAll(pendings, err)
+	fs.observeStages(park, prep, post, poll)
+	if err != nil {
 		for _, u := range units {
-			u.chunks = nil
+			fs.freeUnit(u)
 		}
-		tg.noteFailure(ferr)
-		return ferr
+		tg.noteFailure(err)
+		return err
 	}
-	fs.pipe.WireBytes.Add(bytes)
-	for _, u := range units {
-		fs.cfg.Trace.Record(trace.KindComplete, u.seq, u.node, int(u.length))
-	}
+	fs.landed(units, park, len(pendings), len(segs), bytes)
 	tg.brk.Success()
 	return nil
 }
@@ -998,17 +1055,18 @@ func verifyAssembled(xform byte, units []*unit) error {
 	return nil
 }
 
-// fetchAssembled is the near-data alternative to the chunked wire path:
-// the group is posted as opReadSamples offload commands whose scatter
-// destinations are per-sample pool buffers. The target assembles (and
-// transforms) each record from its extents, so chunk padding and
-// edge-sample overfetch never cross the NIC, and the units skip both
-// arena staging and the client copy stage. An *UnsupportedOpError
-// passes through untouched and without a breaker penalty so fetchWire
-// can downgrade the target; every other failure releases the buffers
-// and feeds the breaker exactly like the chunked path.
-func (ep *Epoch) fetchAssembled(tg *target, units []*unit) error {
-	fs := ep.fs
+// fetchAssembled is the one assembled routine, the near-data
+// alternative to the chunked wire path, for epochs and lookahead rounds
+// alike: the group is posted as opReadSamples offload commands whose
+// scatter destinations are per-sample pool buffers (u.assembled), which
+// an epoch hands to NextBatch and a round's caller parks in the store.
+// The target assembles (and transforms) each record from its extents,
+// and the units skip both arena staging and the client copy stage. An
+// *UnsupportedOpError passes through untouched and without a breaker
+// penalty so fetchWire can downgrade the target; every other failure
+// releases the buffers and feeds the breaker exactly like the chunked
+// path.
+func (fs *FS) fetchAssembled(tg *target, units []*unit, park bool) error {
 	xform := fs.assemblyTransform()
 	prep := time.Now()
 	nsamples := 0
@@ -1016,61 +1074,44 @@ func (ep *Epoch) fetchAssembled(tg *target, units []*unit) error {
 		nsamples += len(u.samples)
 	}
 	segs := make([]nvmetcp.SampleSeg, 0, nsamples)
-	var sampleBytes, unitBytes int64
+	var bytes int64
 	for _, u := range units {
 		u.assembled = make([][]byte, len(u.samples))
 		for si, pl := range u.samples {
 			buf := fs.alloc(nvmetcp.TransformOutLen(xform, int(pl.Len)))
 			u.assembled[si] = buf
 			segs = append(segs, nvmetcp.SampleSeg{Dst: buf, Off: pl.Offset, N: int(pl.Len)})
-			sampleBytes += int64(len(buf))
+			bytes += int64(len(buf))
 		}
-		unitBytes += int64(u.length)
+		if !park {
+			fs.cfg.Trace.Record(trace.KindPost, u.seq, u.node, int(u.length))
+		}
 	}
-	fs.pipe.ObservePrep(time.Since(prep))
-	for _, u := range units {
-		fs.cfg.Trace.Record(trace.KindPost, u.seq, u.node, int(u.length))
-	}
-
 	post := time.Now()
-	pendings, ferr := fs.postSamples(tg, xform, segs)
-	fs.pipe.ObservePost(time.Since(post))
+	pendings, err := fs.postSamples(tg, xform, segs)
 	poll := time.Now()
-	for _, pd := range pendings {
-		if _, err := pd.Wait(); err != nil && ferr == nil {
-			ferr = err
-		}
+	err = waitAll(pendings, err)
+	fs.observeStages(park, prep, post, poll)
+	if err == nil {
+		err = verifyAssembled(xform, units)
 	}
-	fs.pipe.ObservePoll(time.Since(poll))
-	if ferr == nil {
-		ferr = verifyAssembled(xform, units)
-	}
-	if ferr != nil {
+	if err != nil {
 		for _, u := range units {
 			fs.freeUnit(u)
 		}
 		var ue *nvmetcp.UnsupportedOpError
-		if errors.As(ferr, &ue) {
-			return ferr // capability miss, not a health failure
+		if !errors.As(err, &ue) { // a capability miss is not a health failure
+			tg.noteFailure(err)
 		}
-		tg.noteFailure(ferr)
-		return ferr
+		return err
 	}
-	fs.pipe.WireReads.Add(int64(len(pendings)))
-	fs.pipe.WireSegments.Add(int64(len(segs)))
-	// Only the records themselves ride the response payload — WireBytes
-	// counts exactly the post-transform sample bytes, never chunk
-	// padding. The per-record length block is framing, like capsule
-	// headers, and is excluded just as opReadVec excludes its header.
-	fs.pipe.WireBytes.Add(sampleBytes)
+	// Only the records themselves ride the response payload: bytes is
+	// exactly the post-transform sample bytes. The per-record length
+	// block is framing, like capsule headers, and is excluded just as
+	// opReadVec excludes its header.
+	fs.landed(units, park, len(pendings), len(segs), bytes)
 	fs.pipe.OffloadCmds.Add(int64(len(pendings)))
 	fs.pipe.OffloadSamples.Add(int64(len(segs)))
-	if saved := unitBytes - sampleBytes; saved > 0 {
-		fs.pipe.OffloadSavedBytes.Add(saved)
-	}
-	for _, u := range units {
-		fs.cfg.Trace.Record(trace.KindComplete, u.seq, u.node, int(u.length))
-	}
 	tg.brk.Success()
 	return nil
 }

@@ -108,6 +108,48 @@ func TestEpochDeliversEverySampleOnce(t *testing.T) {
 	}
 }
 
+// TestColdEpochWireBytesAreSampleBytes: units are sample-aligned, so a
+// cold epoch pulls exactly the dataset's bytes however samples straddle
+// the chunk grid — many to a chunk, or larger than one — and the mount's
+// unit plan, which every epoch copies, is left as it was built.
+func TestColdEpochWireBytesAreSampleBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		dist  dataset.SizeDist
+		n     int
+		chunk int
+	}{
+		{"many-per-chunk", dataset.IMDBDist(), 2000, 16 << 10},
+		{"larger-than-chunk", dataset.ImageNetDist(), 60, 64 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := dataset.Generate(dataset.Config{Label: "live", Seed: 29, NumSamples: tc.n, Dist: tc.dist})
+			fs, err := Mount(startTargets(t, 2), ds, Config{ChunkSize: tc.chunk, CacheBytes: 8 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs.Close() //nolint:errcheck
+			total := datasetBytes(ds)
+			for seed := int64(1); seed <= 2; seed++ {
+				if wire := drainEpoch(t, fs, ds, seed); wire != total {
+					t.Fatalf("epoch %d moved %d wire bytes for %d sample bytes", seed, wire, total)
+				}
+			}
+			var planned int64
+			for i := range fs.unitPlan {
+				u := &fs.unitPlan[i]
+				if u.chunks != nil || u.next != 0 || u.seq != 0 {
+					t.Fatalf("an epoch wrote to plan unit %d: %+v", i, u)
+				}
+				planned += int64(u.length)
+			}
+			if planned != total {
+				t.Fatalf("the unit plan spans %d bytes, the samples %d", planned, total)
+			}
+		})
+	}
+}
+
 func TestEpochOrderIsShuffled(t *testing.T) {
 	addrs := startTargets(t, 2)
 	ds := testDS(400, 600)

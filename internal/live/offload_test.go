@@ -52,15 +52,14 @@ func drainEpoch(t *testing.T, fs *FS, ds *dataset.Dataset, seed int64) int64 {
 	return fs.Pipeline().Snapshot().WireBytes - before
 }
 
-// TestServerAssemblyWireExact is the tentpole acceptance test: with
-// near-data assembly on and no transform, one cold epoch moves exactly
-// the samples' bytes over the wire — no chunk padding, no edge-sample
-// overfetch — and strictly less than the vectored chunk path moves for
-// the identical dataset, chunk size, and seed. The eliminated padding
-// is accounted, byte-exact, in OffloadSavedBytes.
+// TestServerAssemblyWireExact: with no transform, the chunk path and
+// server assembly both move exactly the samples' bytes in a cold epoch —
+// units are sample-aligned, so neither ships chunk padding or fetches an
+// edge sample twice. Assembly's case is its transforms and the skipped
+// copy stage, not wire bytes.
 func TestServerAssemblyWireExact(t *testing.T) {
-	// 3000-byte samples on 4 KiB chunks: every chunk-path unit carries
-	// padding, so the baseline always overfetches.
+	// 3000-byte samples on 4 KiB chunks: every grid cell has a head or a
+	// tail that belongs to an edge sample.
 	ds := testDS(120, 3000)
 	total := datasetBytes(ds)
 
@@ -69,9 +68,8 @@ func TestServerAssemblyWireExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer base.Close() //nolint:errcheck
-	baseWire := drainEpoch(t, base, ds, 7)
-	if baseWire <= total {
-		t.Fatalf("chunk baseline moved %d bytes for %d sample bytes; the layout must overfetch", baseWire, total)
+	if wire := drainEpoch(t, base, ds, 7); wire != total {
+		t.Fatalf("chunk-path epoch moved %d wire bytes, want exactly the %d sample bytes", wire, total)
 	}
 
 	fs, err := Mount(startTargets(t, 2), ds, Config{ChunkSize: 4 << 10, ServerAssembly: true})
@@ -79,9 +77,7 @@ func TestServerAssemblyWireExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close() //nolint:errcheck
-	wire := drainEpoch(t, fs, ds, 7)
-
-	if wire != total {
+	if wire := drainEpoch(t, fs, ds, 7); wire != total {
 		t.Fatalf("assembled epoch moved %d wire bytes, want exactly the %d sample bytes", wire, total)
 	}
 	pl := fs.Pipeline().Snapshot()
@@ -93,11 +89,6 @@ func TestServerAssemblyWireExact(t *testing.T) {
 	}
 	if pl.OffloadDowngrades != 0 {
 		t.Fatalf("capable targets were downgraded %d times", pl.OffloadDowngrades)
-	}
-	// The padding the baseline fetched is exactly what offload saved.
-	if pl.OffloadSavedBytes != baseWire-total {
-		t.Fatalf("OffloadSavedBytes = %d, want %d (baseline %d - samples %d)",
-			pl.OffloadSavedBytes, baseWire-total, baseWire, total)
 	}
 }
 

@@ -1,9 +1,6 @@
 package live
 
 import (
-	"errors"
-	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,22 +15,27 @@ import (
 // The seeded epoch order is deterministic: every rank can compute the
 // *next* epoch's shuffled unit slice before the current epoch finishes
 // (the property clairvoyant prefetching exploits — the access sequence
-// is known arbitrarily far ahead). Once the current epoch's dispatcher
-// has handed out all of its fetch groups, the queue pairs spend the
-// tail of the epoch mostly idle between completions; the prefetcher
-// fills those gaps with coalesced reads for next-epoch units, parking
-// the payloads in a bounded lookahead store. When the next epoch's
-// fetchGroup finds its unit in the store it copies straight into cache
-// chunks and skips the wire — a warm epoch opens with near-zero poll
-// time.
+// is known arbitrarily far ahead). Once the current epoch's workers
+// have fetched its last group, the queue pairs idle while the consumer
+// drains the last window; the prefetcher fills that time, and whatever
+// the training step leaves before the next Sequence, with coalesced
+// reads for next-epoch units, parking the payloads in a bounded
+// lookahead store. When the next epoch's fetchGroup finds its unit in
+// the store it copies straight into cache chunks and skips the wire — a
+// warm epoch opens with near-zero poll time.
 //
-// The store is bounded by Config.PrefetchBudgetBytes and best-effort
-// throughout: a full budget stops the prefetcher (it never evicts what
-// it just fetched), a down target skips that node's units via the same
-// circuit breaker the demand path uses, and a consumer running a
-// different seed than predicted simply misses and pays the wire as
-// before. Entries are consumed at most once (take removes them), so a
-// store buffer is owned by exactly one side at a time.
+// A round runs on the epoch's own engine (FS.pump: the lookahead
+// coalescer feeding Prefetchers workers that call fetchWire); only the
+// landing differs, pool buffers parked in the store instead of arena
+// chunks. The store is bounded by Config.PrefetchBudgetBytes and
+// best-effort throughout: the round is cut, before anything is
+// dispatched, to the prefix of the predicted order that fits the budget,
+// so its concurrent workers can never evict what it just fetched; a down
+// target skips that node's units via the same circuit breaker the demand
+// path uses, and a consumer running a different seed than predicted
+// simply misses and pays the wire as before. Entries are consumed at
+// most once (take removes them), so a store buffer is owned by exactly
+// one side at a time.
 
 // unitKey identifies a fetch unit by placement. The unit plan is a pure
 // function of the dataset placement, so the same key is derived by the
@@ -44,6 +46,8 @@ type unitKey struct {
 	offset int64
 	length int32
 }
+
+func (u *unit) key() unitKey { return unitKey{node: u.node, offset: u.offset, length: u.length} }
 
 // pfEntry is one parked unit payload. Exactly one form is set: data
 // holds the unit's raw byte range (chunk-path prefetch), samples holds
@@ -76,10 +80,10 @@ func (e pfEntry) release(free func([]byte)) {
 }
 
 // prefetchStore is the bounded lookahead region: unit payloads fetched
-// ahead of their epoch, keyed by placement identity. FIFO eviction only
-// reclaims stale leftovers (entries predicted for a seed that was never
-// consumed); within one prefetch round the budget check stops the
-// producer before eviction would be needed.
+// ahead of their epoch, keyed by placement identity. Eviction only
+// reclaims stale leftovers (entries predicted for an epoch that never
+// took them), when the next round begins: a round is cut to the budget
+// before it parks anything, so it never needs room an entry holds.
 type prefetchStore struct {
 	budget int64
 	pipe   *metrics.Pipeline
@@ -87,7 +91,7 @@ type prefetchStore struct {
 
 	mu      sync.Mutex
 	entries map[unitKey]pfEntry
-	order   []unitKey // insertion order; lazily compacted on eviction
+	order   []unitKey // insertion order; emptied when a round begins
 	bytes   int64
 }
 
@@ -116,16 +120,8 @@ func (s *prefetchStore) put(k unitKey, e pfEntry) {
 		return
 	}
 	for s.bytes+sz > s.budget && len(s.order) > 0 {
-		victim := s.order[0]
+		s.evictLocked(s.order[0])
 		s.order = s.order[1:]
-		old, ok := s.entries[victim]
-		if !ok {
-			continue // already consumed by take
-		}
-		delete(s.entries, victim)
-		s.bytes -= old.size()
-		old.release(s.free)
-		s.pipe.PrefetchEvictions.Add(1)
 	}
 	if s.bytes+sz > s.budget {
 		s.mu.Unlock()
@@ -136,6 +132,34 @@ func (s *prefetchStore) put(k unitKey, e pfEntry) {
 	s.order = append(s.order, k)
 	s.bytes += sz
 	s.mu.Unlock()
+}
+
+// evictLocked drops k's entry, if take has not consumed it already.
+func (s *prefetchStore) evictLocked(k unitKey) {
+	if e, ok := s.entries[k]; ok {
+		delete(s.entries, k)
+		s.bytes -= e.size()
+		e.release(s.free)
+		s.pipe.PrefetchEvictions.Add(1)
+	}
+}
+
+// beginRound opens a lookahead round and returns how many bytes it may
+// park: the whole budget. A round begins once its epoch has taken all
+// it is going to take, so what is still resident was parked for an
+// epoch that did not want it (a mispredicted seed or slice, or a
+// consumer that did not wait for the round); nobody may ever take it,
+// and it is evicted here lest it pin the budget for good. Sized before
+// dispatch, the round's workers cannot push the store past the budget
+// however they interleave.
+func (s *prefetchStore) beginRound() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, k := range s.order {
+		s.evictLocked(k)
+	}
+	s.order = s.order[:0]
+	return s.budget
 }
 
 // take removes and returns the entry for k; ok is false on miss. The
@@ -182,8 +206,7 @@ func (fs *FS) nextSeed(seed int64) int64 {
 
 // maybePrefetch launches one background prefetch round for the
 // predicted epoch (seed, rank, world) unless a round is already
-// running. Called by the dispatcher once the current epoch's groups are
-// all handed out, i.e. when poll gaps start opening.
+// running. Called once the current epoch's groups are all fetched.
 func (fs *FS) maybePrefetch(seed int64, rank, world int) {
 	if fs.prefetch == nil || !fs.prefetchBusy.CompareAndSwap(false, true) {
 		return
@@ -201,96 +224,41 @@ func (fs *FS) maybePrefetch(seed int64, rank, world int) {
 // "epoch N done" and "epoch N+1 starts warm".
 func (fs *FS) WaitPrefetch() { fs.prefetchWG.Wait() }
 
-// runPrefetch computes the predicted epoch's unit slice for this rank
-// and fetches it into the store, coalescing same-target neighbours into
-// vectored reads bounded by CoalesceBytes, until the budget fills or
-// the FS closes.
+// runPrefetch is one lookahead round: the predicted epoch's unit slice
+// for this rank, cut to the prefix the store has room for, goes through
+// the same engine an epoch runs on, with park as the workers' fetch. It
+// ends when the prefix is parked or the FS closes.
 func (fs *FS) runPrefetch(seed int64, rank, world int) {
-	units, err := fs.epochSlice(seed, rank, world)
-	if err != nil {
-		return
+	room := fs.prefetch.beginRound()
+	units := fs.epochUnits(seed, rank, world, 0, -1)
+	n := 0
+	for n < len(units) && int64(units[n].length) <= room {
+		room -= int64(units[n].length) // no stored form of a unit is larger than its range
+		n++
 	}
-	var group []*unit
-	var groupBytes int64
-	var round int64
-	flush := func() {
-		if len(group) == 0 {
-			return
-		}
-		round += fs.fetchAhead(group, groupBytes)
-		group = group[:0]
-		groupBytes = 0
-	}
-	for _, u := range units {
-		select {
-		case <-fs.prefetchStop:
-			return
-		default:
-		}
-		if round+groupBytes+int64(u.length) > fs.cfg.PrefetchBudgetBytes {
-			break // budget exhausted: never evict this round's own entries
-		}
-		if len(group) > 0 && (group[0].node != u.node || groupBytes+int64(u.length) > fs.cfg.CoalesceBytes) {
-			flush()
-		}
-		group = append(group, u)
-		groupBytes += int64(u.length)
-	}
-	flush()
+	fs.pump(units[:n], fs.prefetchStop, fs.park)
 }
 
-// fetchAhead brings one coalesced group of predicted units into the
-// store. The cooperative peer cache is consulted first (cluster mounts
-// only) — units fully resident on the owning rank park without
-// touching the storage wire; only the residual misses are fetched,
-// through server assembly when the target offers it, else as one
-// vectored read into pooled buffers. Best-effort: breaker refusals and
+// park is a lookahead round's side of the engine: bring one group of
+// predicted units into the store. The cooperative peer cache is
+// consulted first (cluster mounts only) — units fully resident on the
+// owning rank park without touching the storage wire; only the residual
+// misses go through fetchWire. Best-effort: breaker refusals and
 // transport errors drop the group (the next epoch pays the wire for
-// those units as usual). Returns the bytes stored.
-func (fs *FS) fetchAhead(group []*unit, groupBytes int64) int64 {
-	group, stored := fs.prefetchFromPeers(group)
-	if len(group) == 0 {
-		return stored
+// those units as usual).
+func (fs *FS) park(g *fetchGroup) bool {
+	select {
+	case <-fs.prefetchStop:
+		return false
+	default:
 	}
-	tg := fs.targets[group[0].node]
-	if !tg.brk.Allow() {
-		return stored
-	}
-	if fs.cfg.ServerAssembly && !tg.noAssembly.Load() {
-		n, err := fs.prefetchAssembled(tg, group)
-		var ue *nvmetcp.UnsupportedOpError
-		if !errors.As(err, &ue) {
-			return stored + n
+	misses := fs.prefetchFromPeers(g.units)
+	if len(misses) > 0 && fs.fetchWire(misses, true) == nil {
+		for _, u := range misses {
+			fs.prefetch.put(u.key(), pfEntry{data: u.raw, samples: u.assembled})
 		}
-		tg.noAssembly.Store(true)
-		fs.pipe.OffloadDowngrades.Add(1)
 	}
-	bufs := make([][]byte, len(group))
-	segs := make([]nvmetcp.Seg, len(group))
-	var bytes int64
-	for i, u := range group {
-		bufs[i] = fs.alloc(int(u.length))
-		segs[i] = nvmetcp.Seg{Dst: bufs[i], Off: u.offset}
-		bytes += int64(u.length)
-	}
-	pd, err := tg.qp.ReadVecAsync(segs)
-	if err == nil {
-		_, err = pd.Wait()
-	}
-	if err != nil {
-		for _, b := range bufs {
-			fs.Recycle(b)
-		}
-		tg.noteFailure(err)
-		return stored
-	}
-	tg.brk.Success()
-	for i, u := range group {
-		fs.prefetch.put(unitKey{node: u.node, offset: u.offset, length: u.length}, pfEntry{data: bufs[i]})
-	}
-	fs.pipe.PrefetchedUnits.Add(int64(len(group)))
-	fs.pipe.PrefetchedBytes.Add(bytes)
-	return stored + bytes
+	return true
 }
 
 // prefetchFromPeers tries to satisfy predicted units from the
@@ -301,17 +269,16 @@ func (fs *FS) fetchAhead(group []*unit, groupBytes int64) int64 {
 // complete unit. Peer hits, bytes, and fallbacks land on the same
 // counters as the demand path. Skipped entirely when the epoch runs a
 // lossy server transform (peers hold raw records). Returns the
-// residual misses and the bytes parked.
-func (fs *FS) prefetchFromPeers(group []*unit) ([]*unit, int64) {
+// residual misses.
+func (fs *FS) prefetchFromPeers(group []*unit) []*unit {
 	if fs.peers == nil {
-		return group, 0
+		return group
 	}
 	if x := fs.assemblyTransform(); fs.cfg.ServerAssembly &&
 		x != nvmetcp.TransformNone && x != nvmetcp.TransformCRC32C {
-		return group, 0
+		return group
 	}
 	misses := group[:0:0]
-	var stored int64
 	for _, u := range group {
 		owner := int(u.node)
 		if owner == fs.rank || owner >= len(fs.peers.clients) || fs.peers.clients[owner] == nil {
@@ -339,101 +306,11 @@ func (fs *FS) prefetchFromPeers(group []*unit) ([]*unit, int64) {
 			misses = append(misses, u)
 			continue
 		}
-		fs.prefetch.put(unitKey{node: u.node, offset: u.offset, length: u.length}, pfEntry{samples: samples})
+		fs.prefetch.put(u.key(), pfEntry{samples: samples})
 		fs.pipe.PrefetchedUnits.Add(1)
 		fs.pipe.PrefetchedBytes.Add(sz)
-		stored += sz
 	}
-	return misses, stored
-}
-
-// prefetchAssembled fetches the residual misses through opReadSamples
-// and parks the per-record buffers. The caller already holds the
-// breaker's Allow; an *UnsupportedOpError is returned for the caller's
-// downgrade latch (no breaker penalty), any other failure recycles and
-// feeds the breaker. Returns the bytes stored.
-func (fs *FS) prefetchAssembled(tg *target, group []*unit) (int64, error) {
-	xform := fs.assemblyTransform()
-	entries := make([]pfEntry, len(group))
-	var segs []nvmetcp.SampleSeg
-	for i, u := range group {
-		entries[i].samples = make([][]byte, len(u.samples))
-		for si, pl := range u.samples {
-			buf := fs.alloc(nvmetcp.TransformOutLen(xform, int(pl.Len)))
-			entries[i].samples[si] = buf
-			segs = append(segs, nvmetcp.SampleSeg{Dst: buf, Off: pl.Offset, N: int(pl.Len)})
-		}
-	}
-	pendings, ferr := fs.postSamples(tg, xform, segs)
-	for _, pd := range pendings {
-		if _, err := pd.Wait(); err != nil && ferr == nil {
-			ferr = err
-		}
-	}
-	if ferr == nil && xform == nvmetcp.TransformCRC32C {
-		for i := range entries {
-			for si, b := range entries[i].samples {
-				body, ok := nvmetcp.VerifyCRC32C(b)
-				if !ok {
-					ferr = fmt.Errorf("live: crc32c mismatch on prefetched sample %d", group[i].samples[si].Sample)
-					break
-				}
-				entries[i].samples[si] = body
-			}
-			if ferr != nil {
-				break
-			}
-		}
-	}
-	if ferr != nil {
-		for _, e := range entries {
-			e.release(fs.Recycle)
-		}
-		var ue *nvmetcp.UnsupportedOpError
-		if errors.As(ferr, &ue) {
-			return 0, ferr
-		}
-		tg.noteFailure(ferr)
-		return 0, ferr
-	}
-	tg.brk.Success()
-	var stored, unitBytes int64
-	for i, u := range group {
-		sz := entries[i].size()
-		fs.prefetch.put(unitKey{node: u.node, offset: u.offset, length: u.length}, entries[i])
-		stored += sz
-		unitBytes += int64(u.length)
-	}
-	fs.pipe.PrefetchedUnits.Add(int64(len(group)))
-	fs.pipe.PrefetchedBytes.Add(stored)
-	fs.pipe.OffloadCmds.Add(int64(len(pendings)))
-	fs.pipe.OffloadSamples.Add(int64(len(segs)))
-	if saved := unitBytes - stored; saved > 0 {
-		fs.pipe.OffloadSavedBytes.Add(saved)
-	}
-	return stored, nil
-}
-
-// epochSlice computes rank's 1/world slice of the seeded global unit
-// order — the same derivation sequenceRange performs, without starting
-// a pipeline.
-func (fs *FS) epochSlice(seed int64, rank, world int) ([]*unit, error) {
-	units, err := fs.buildUnits()
-	if err != nil {
-		return nil, err
-	}
-	// Must match sequenceRange's shuffle exactly, or the prediction is
-	// systematically wrong.
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
-	if world > 1 {
-		slice := units[:0:0]
-		for i := rank; i < len(units); i += world {
-			slice = append(slice, units[i])
-		}
-		units = slice
-	}
-	return units, nil
+	return misses
 }
 
 // serveFromStore satisfies as many of g's units as the lookahead store
@@ -450,7 +327,7 @@ func (ep *Epoch) serveFromStore(g *fetchGroup) []*unit {
 	var hit bool
 	prep := time.Now()
 	for _, u := range g.units {
-		e, ok := fs.prefetch.take(unitKey{node: u.node, offset: u.offset, length: u.length})
+		e, ok := fs.prefetch.take(u.key())
 		if !ok {
 			misses = append(misses, u)
 			continue

@@ -1,8 +1,13 @@
 package live
 
 import (
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"dlfs/internal/chaos"
 	"dlfs/internal/dataset"
 	"dlfs/internal/metrics"
 )
@@ -118,6 +123,174 @@ func TestCrossEpochPrefetchSlices(t *testing.T) {
 		t.Fatalf("hits %d != prefetched %d (prediction diverged from the real slice)",
 			after.PrefetchHitUnits, before.PrefetchedUnits)
 	}
+	if got := after.WireReads - before.WireReads; got != 0 {
+		t.Fatalf("the predicted slice missed units of the consumed one: %d wire reads in the warm epoch", got)
+	}
+}
+
+// TestWarmEpochsNeverTouchTheWire: with an arena so small that an
+// epoch's workers block in it between takes, a round that started while
+// takes were still pending parked a unit whose old entry was still
+// resident, was refused as a duplicate, and left the next epoch one unit
+// short (about one warm epoch in fifty here). The round now starts after
+// the workers' last take.
+func TestWarmEpochsNeverTouchTheWire(t *testing.T) {
+	addrs := startTargets(t, 2)
+	ds := testDS(400, 3000)
+	fs, err := Mount(addrs, ds, Config{ChunkSize: 8 << 10, CacheBytes: 64 << 10, CrossEpochPrefetch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close() //nolint:errcheck
+	for seed := int64(1); seed <= 300; seed++ {
+		before := fs.Pipeline().WireReads.Load()
+		ep, err := fs.Sequence(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := drainAndVerify(t, ep, ds); n != ds.Len() {
+			t.Fatalf("epoch %d delivered %d of %d", seed, n, ds.Len())
+		}
+		if n := fs.Pipeline().WireReads.Load() - before; n > 0 && seed > 1 {
+			t.Fatalf("warm epoch %d issued %d wire reads", seed, n)
+		}
+		fs.WaitPrefetch()
+	}
+}
+
+// TestPrefetchRoundHoldsBudget: a round's four workers park concurrently
+// under a budget smaller than the epoch. The round is cut to the budget
+// before anything is dispatched, so the store never exceeds it, nothing
+// the round parked is evicted, and what the store could not hold is
+// fetched by the next epoch as usual.
+func TestPrefetchRoundHoldsBudget(t *testing.T) {
+	addrs := startTargets(t, 2)
+	ds := testDS(400, 3000) // 1.2 MB an epoch
+	const budget = 300 << 10
+	fs, err := Mount(addrs, ds, Config{
+		ChunkSize:           8 << 10,
+		CacheBytes:          1 << 20,
+		Prefetchers:         4,
+		CrossEpochPrefetch:  true,
+		PrefetchBudgetBytes: budget,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close() //nolint:errcheck
+
+	stop := make(chan struct{})
+	var over int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // watches the store while the rounds run
+		defer wg.Done()
+		for {
+			if rb := fs.prefetch.residentBytes(); rb > over {
+				over = rb
+			}
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	for seed := int64(1); seed <= 3; seed++ {
+		ep, err := fs.Sequence(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := drainAndVerify(t, ep, ds); n != ds.Len() {
+			t.Fatalf("epoch %d delivered %d of %d", seed, n, ds.Len())
+		}
+		fs.WaitPrefetch()
+		if rb := fs.prefetch.residentBytes(); rb > budget || rb < budget-8<<10 {
+			t.Fatalf("after round %d the store holds %d bytes, want the budget %d less at most one unit", seed, rb, budget)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if over > budget {
+		t.Fatalf("store peaked at %d bytes, budget %d", over, budget)
+	}
+	pl := fs.Pipeline().Snapshot()
+	if pl.PrefetchEvictions != 0 {
+		t.Fatalf("%d evictions: a round evicted lookahead entries", pl.PrefetchEvictions)
+	}
+	if rb := fs.prefetch.residentBytes(); pl.PrefetchHitBytes != pl.PrefetchedBytes-rb {
+		t.Fatalf("parked %d bytes, epochs hit %d and %d wait for the next: some were lost",
+			pl.PrefetchedBytes, pl.PrefetchHitBytes, rb)
+	}
+}
+
+// TestCloseMidRound: Close while a lookahead round's workers have
+// commands in flight returns within a command completion and leaves no
+// goroutine of the mount behind.
+func TestCloseMidRound(t *testing.T) {
+	// 16 MB/s a target: the 3.2 MB round takes ~100 ms, long enough to
+	// close in the middle of.
+	addrs, _ := startChaosTargets(t, 2, func(i int) chaos.Config {
+		return chaos.Config{Seed: int64(i) + 70, ThrottleBytesPerSec: 16 << 20}
+	})
+	ds := testDS(400, 8<<10)
+	before := mountGoroutines()
+	fs, err := Mount(addrs, ds, Config{ChunkSize: 32 << 10, CrossEpochPrefetch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := fs.Sequence(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := drainAndVerify(t, ep, ds); n != ds.Len() {
+		t.Fatalf("delivered %d of %d", n, ds.Len())
+	}
+	for fs.Pipeline().PrefetchedUnits.Load() == 0 {
+		if !fs.prefetchBusy.Load() {
+			t.Fatal("the round ended before it parked anything")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !fs.prefetchBusy.Load() {
+		t.Skip("the round finished before Close could interrupt it")
+	}
+	start := time.Now()
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Close took %v with a round in flight", d)
+	}
+	if parked := fs.Pipeline().PrefetchedBytes.Load(); parked >= datasetBytes(ds) {
+		t.Fatalf("the round ran to its end (%d bytes): Close did not interrupt it", parked)
+	}
+	// A queue pair's receive loop ends when it sees its closed socket,
+	// a moment after Close returns.
+	deadline := time.Now().Add(5 * time.Second)
+	for mountGoroutines() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d client goroutines before Mount, %d after Close", before, mountGoroutines())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// mountGoroutines counts the goroutines a mount owns: the epoch's and the
+// round's engine (live.(*FS), live.(*Epoch)) and the queue pairs' receive
+// loops. Targets and chaos proxies run in this process too and keep
+// per-connection goroutines of their own, so a plain count will not do.
+func mountGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "live.(*FS).") || strings.Contains(g, "live.(*Epoch).") ||
+			strings.Contains(g, "nvmetcp.(*Initiator).") {
+			n++
+		}
+	}
+	return n
 }
 
 // TestPrefetchDisabledByNegativeBudget: the canonical -1 budget turns
@@ -195,6 +368,32 @@ func TestPrefetchStoreBudget(t *testing.T) {
 	s.drain()
 	if got := s.residentBytes(); got != 0 {
 		t.Fatalf("resident %d after drain", got)
+	}
+}
+
+// TestPrefetchStoreRoundEvictsLeftovers: what a round parked and its
+// epoch never took must not pin the budget. A round begins after its
+// epoch's last take, so beginRound evicts whatever is resident and the
+// new round gets the whole budget.
+func TestPrefetchStoreRoundEvictsLeftovers(t *testing.T) {
+	pipe := &metrics.Pipeline{}
+	var freed int
+	s := newPrefetchStore(100, pipe, func(b []byte) { freed += len(b) })
+	k := func(i int) unitKey { return unitKey{node: 0, offset: int64(i * 100), length: 30} }
+
+	s.beginRound()
+	s.put(k(1), pfEntry{data: make([]byte, 30)})
+	s.put(k(2), pfEntry{data: make([]byte, 30)})
+	s.take(k(1)) // the epoch took one; k(2) was mispredicted
+
+	if room := s.beginRound(); room != 100 {
+		t.Fatalf("the next round gets %d bytes, want the whole budget", room)
+	}
+	if _, ok := s.take(k(2)); ok || s.residentBytes() != 0 || freed != 30 {
+		t.Fatalf("leftover survived the round: resident %d, freed %d", s.residentBytes(), freed)
+	}
+	if n := pipe.PrefetchEvictions.Load(); n != 1 {
+		t.Fatalf("%d evictions, want 1 (a taken entry is not one)", n)
 	}
 }
 

@@ -56,7 +56,6 @@ type Pipeline struct {
 	// staging and the client copy stage.
 	OffloadCmds       atomic.Int64 // opReadSamples commands posted
 	OffloadSamples    atomic.Int64 // samples assembled target-side
-	OffloadSavedBytes atomic.Int64 // chunk padding + edge overfetch kept off the wire
 	OffloadDowngrades atomic.Int64 // targets downgraded to opReadVec (old opcode set)
 
 	// Checkpoint write path (live.Checkpointer): sharded state streamed
@@ -212,7 +211,6 @@ func (p *Pipeline) Snapshot() PipelineSnapshot {
 		OriginBytes:       p.OriginBytes.Load(),
 		OffloadCmds:       p.OffloadCmds.Load(),
 		OffloadSamples:    p.OffloadSamples.Load(),
-		OffloadSavedBytes: p.OffloadSavedBytes.Load(),
 		OffloadDowngrades: p.OffloadDowngrades.Load(),
 		CkptSaves:         p.CkptSaves.Load(),
 		CkptBytes:         p.CkptBytes.Load(),
@@ -254,7 +252,6 @@ type PipelineSnapshot struct {
 	OriginBytes       int64
 	OffloadCmds       int64
 	OffloadSamples    int64
-	OffloadSavedBytes int64
 	OffloadDowngrades int64
 	CkptSaves         int64
 	CkptBytes         int64
@@ -310,8 +307,8 @@ func (s PipelineSnapshot) String() string {
 			s.CacheHits, s.PeerHits, s.OriginReads, s.PeerFallbacks, s.PeerServed, s.OriginBytes)
 	}
 	if s.OffloadCmds+s.OffloadDowngrades > 0 {
-		line += fmt.Sprintf(" offload cmds/samples=%d/%d saved_bytes=%d downgrades=%d",
-			s.OffloadCmds, s.OffloadSamples, s.OffloadSavedBytes, s.OffloadDowngrades)
+		line += fmt.Sprintf(" offload cmds/samples=%d/%d downgrades=%d",
+			s.OffloadCmds, s.OffloadSamples, s.OffloadDowngrades)
 	}
 	if s.CkptSaves > 0 {
 		line += fmt.Sprintf(" ckpt saves=%d bytes=%d cmds/segs=%d/%d flushes=%d downgrades=%d time=%v",

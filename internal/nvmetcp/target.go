@@ -698,14 +698,16 @@ func (t *Target) flushLoop(tc *targetConn) {
 		if t.cfg.WriteTimeout > 0 {
 			tc.conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout)) //nolint:errcheck
 		}
+		// Counted before the bytes leave: a client that has its completion
+		// in hand must find it in the counters too.
+		t.srv.Flushes.Add(1)
+		t.srv.FlushedCmds.Add(int64(len(batch)))
 		v := scratch // WriteTo consumes its receiver; keep scratch's header
 		_, err := v.WriteTo(tc.conn)
 		if pinned {
 			t.store.UnpinViews()
 		}
 		t.srv.ObserveFlush(time.Since(start))
-		t.srv.Flushes.Add(1)
-		t.srv.FlushedCmds.Add(int64(len(batch)))
 		for i := range batch {
 			recycleCompletion(&batch[i])
 		}
@@ -736,10 +738,30 @@ func recycleCompletion(c *completion) {
 	c.hdr, c.staged, c.view, c.aux = nil, nil, nil, nil
 }
 
+// segRanges splits a segment list into the parallel offset and length
+// lists the store's gathered reads and writes take.
+func segRanges(segs []vecSeg) ([]int64, []int) {
+	offs := make([]int64, len(segs))
+	lens := make([]int, len(segs))
+	for i, s := range segs {
+		offs[i], lens[i] = int64(s.off), int(s.n)
+	}
+	return offs, lens
+}
+
+// readSegs fills p with the segments' bytes, concatenated, under one
+// store lock hold: a gathered write cannot land between two segments,
+// so p is a single generation of all of them.
+func (t *Target) readSegs(p []byte, segs []vecSeg) error {
+	offs, lens := segRanges(segs)
+	_, err := t.store.ReadVecAt(p, offs, lens)
+	return err
+}
+
 // restage replaces a completion's zero-copy view with a pooled copy read
-// under the store lock, guaranteeing an untorn payload after a write
-// epoch change. Offsets were validated when the view was built, so the
-// locked re-read cannot fail.
+// under one store lock hold, guaranteeing an untorn payload after a
+// write epoch change. Offsets were validated when the view was built,
+// so the locked re-read cannot fail.
 func (t *Target) restage(c *completion) {
 	buf := bufpool.Shared.Get(c.n)
 	if c.vsegs != nil {
@@ -749,10 +771,7 @@ func (t *Target) restage(c *completion) {
 		if c.aux != nil {
 			pos = copy(buf, c.aux)
 		}
-		for _, s := range c.vsegs {
-			t.store.ReadAt(buf[pos:pos+int(s.n)], int64(s.off)) //nolint:errcheck
-			pos += int(s.n)
-		}
+		t.readSegs(buf[pos:c.n], c.vsegs) //nolint:errcheck
 	} else {
 		t.store.ReadAt(buf, int64(c.off)) //nolint:errcheck
 	}
@@ -762,12 +781,37 @@ func (t *Target) restage(c *completion) {
 }
 
 // assembleStaged builds an opReadSamples response — length block plus
-// transformed records — in one pooled staged buffer. Records are read
-// through the store's seqlock (ReadAt), so transformed output cannot
-// tear and never needs re-staging. Returns the buffer, its byte count,
-// and a status.
+// transformed records — in one pooled staged buffer. The whole record
+// list is read under one store lock hold (readSegs), so the records are
+// a single generation, transformed output cannot tear, and the response
+// never needs re-staging. Returns the buffer, its byte count, and a
+// status.
 func (t *Target) assembleStaged(xform byte, segs []vecSeg) ([]byte, int, byte) {
 	lb := 4 * len(segs)
+	inTotal := 0
+	for _, s := range segs {
+		inTotal += int(s.n)
+	}
+	if xform == TransformNone {
+		if lb+inTotal > maxPayload {
+			return nil, 0, statusRange
+		}
+		buf := bufpool.Shared.Get(lb + inTotal)
+		if err := t.readSegs(buf[lb:], segs); err != nil {
+			bufpool.Shared.Put(buf)
+			return nil, 0, statusRange
+		}
+		for i, s := range segs {
+			binary.LittleEndian.PutUint32(buf[4*i:], s.n)
+		}
+		return buf, lb + inTotal, statusOK
+	}
+	src := bufpool.Shared.Get(inTotal)
+	defer bufpool.Shared.Put(src)
+	if err := t.readSegs(src, segs); err != nil {
+		return nil, 0, statusRange
+	}
+	rest := src // records not yet transformed
 	var xt time.Duration
 	if TransformOutLen(xform, 0) >= 0 {
 		// Fixed output size: transform straight into the response buffer.
@@ -782,29 +826,15 @@ func (t *Target) assembleStaged(xform byte, segs []vecSeg) ([]byte, int, byte) {
 		pos := lb
 		for i, s := range segs {
 			n := int(s.n)
-			outn := n
-			if xform == TransformNone {
-				if _, err := t.store.ReadAt(buf[pos:pos+n], int64(s.off)); err != nil {
-					bufpool.Shared.Put(buf)
-					return nil, 0, statusRange
-				}
-			} else {
-				src := bufpool.Shared.Get(n)
-				if _, err := t.store.ReadAt(src, int64(s.off)); err != nil {
-					bufpool.Shared.Put(src)
-					bufpool.Shared.Put(buf)
-					return nil, 0, statusRange
-				}
-				outn = TransformOutLen(xform, n)
-				start := time.Now()
-				err := transformInto(xform, src, buf[pos:pos+outn])
-				xt += time.Since(start)
-				bufpool.Shared.Put(src)
-				if err != nil {
-					bufpool.Shared.Put(buf)
-					return nil, 0, statusXform
-				}
+			outn := TransformOutLen(xform, n)
+			start := time.Now()
+			err := transformInto(xform, rest[:n], buf[pos:pos+outn])
+			xt += time.Since(start)
+			if err != nil {
+				bufpool.Shared.Put(buf)
+				return nil, 0, statusXform
 			}
+			rest = rest[n:]
 			binary.LittleEndian.PutUint32(buf[4*i:], uint32(outn))
 			pos += outn
 		}
@@ -822,20 +852,14 @@ func (t *Target) assembleStaged(xform byte, segs []vecSeg) ([]byte, int, byte) {
 	outTotal := 0
 	for _, s := range segs {
 		n := int(s.n)
-		src := bufpool.Shared.Get(n)
-		if _, err := t.store.ReadAt(src, int64(s.off)); err != nil {
-			bufpool.Shared.Put(src)
-			free()
-			return nil, 0, statusRange
-		}
 		start := time.Now()
-		out, err := transformAlloc(xform, src, maxPayload-lb-outTotal, bufpool.Shared.Get)
+		out, err := transformAlloc(xform, rest[:n], maxPayload-lb-outTotal, bufpool.Shared.Get)
 		xt += time.Since(start)
-		bufpool.Shared.Put(src)
 		if err != nil {
 			free()
 			return nil, 0, statusXform
 		}
+		rest = rest[n:]
 		outs = append(outs, out)
 		outTotal += len(out)
 	}
@@ -926,16 +950,9 @@ func (t *Target) execute(req *capsule, zeroCopy bool) completion {
 			t.srv.ZeroCopyBytes.Add(int64(total))
 		} else {
 			buf := bufpool.Shared.Get(total)
-			pos := 0
-			for _, s := range segs {
-				if _, err := t.store.ReadAt(buf[pos:pos+int(s.n)], int64(s.off)); err != nil {
-					bufpool.Shared.Put(buf)
-					status = statusRange
-					break
-				}
-				pos += int(s.n)
-			}
-			if status != statusOK {
+			if err := t.readSegs(buf[:total], segs); err != nil {
+				bufpool.Shared.Put(buf)
+				status = statusRange
 				break
 			}
 			comp.staged = buf
@@ -1046,12 +1063,7 @@ func (t *Target) execute(req *capsule, zeroCopy bool) completion {
 				status = statusBadOp
 				break
 			}
-			offs := make([]int64, len(segs))
-			lens := make([]int, len(segs))
-			for i, s := range segs {
-				offs[i] = int64(s.off)
-				lens[i] = int(s.n)
-			}
+			offs, lens := segRanges(segs)
 			n, ad, err := t.store.WriteVecAdopt(data, offs, lens)
 			if err != nil {
 				status = statusRange

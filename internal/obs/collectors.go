@@ -130,7 +130,6 @@ func PipelineCollector(client string, snap func() metrics.PipelineSnapshot) func
 		WriteCounter(w, "dlfs_client_peer_served_total", "Samples this rank served to its peers.", s.PeerServed, lbl...)
 		WriteCounter(w, "dlfs_client_offload_cmds_total", "opReadSamples offload commands posted.", s.OffloadCmds, lbl...)
 		WriteCounter(w, "dlfs_client_offload_samples_total", "Samples assembled server-side instead of copied client-side.", s.OffloadSamples, lbl...)
-		WriteCounter(w, "dlfs_client_offload_saved_bytes_total", "Chunk bytes that never crossed the wire thanks to server assembly.", s.OffloadSavedBytes, lbl...)
 		WriteCounter(w, "dlfs_client_offload_downgrades_total", "Targets downgraded to opReadVec after rejecting opReadSamples.", s.OffloadDowngrades, lbl...)
 		WriteCounter(w, "dlfs_client_origin_reads_total", "ReadSample misses served from the origin target.", s.OriginReads, lbl...)
 		WriteCounter(w, "dlfs_client_origin_bytes_total", "Bytes pulled from origin targets by ReadSample.", s.OriginBytes, lbl...)

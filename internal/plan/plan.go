@@ -132,6 +132,19 @@ type Chunk struct {
 	FirstSample int // dataset index of first complete sample; -1 if none
 }
 
+// Span returns the byte range of the chunk's complete samples: from the
+// first one's offset to the last one's end, always inside the grid cell.
+// Samples that a layout places back to back (what dlfs_mount produces)
+// make the span exactly the samples' bytes, so a reader that is not
+// bound to device blocks fetches it instead of the cell and leaves the
+// cell's head and tail, which belong to edge samples, to the edge list.
+// Offset and Length stay the cell: that is what a block-aligned device
+// read moves, what the simulator costs and what BytesFetched sums.
+func (c *Chunk) Span() (off int64, n int32) {
+	first, last := c.Samples[0], c.Samples[len(c.Samples)-1]
+	return first.Offset, int32(last.Offset + int64(last.Len) - first.Offset)
+}
+
 // Edge is one entry of the edge-sample access list: a sample crossing a
 // chunk boundary, read individually.
 type Edge struct {
@@ -170,6 +183,10 @@ func (cp *ChunkPlan) BytesFetched() int64 {
 }
 
 // BuildChunkPlan cuts the layout into the chunk and edge access lists.
+// A chunk's complete samples are consecutive in its node's list (only an
+// edge sample can separate two chunks' runs), so Chunk.Samples is a
+// sub-slice of l.NodeSamples, not a copy: the layout must not be
+// modified while the plan is in use.
 func BuildChunkPlan(l *Layout) (*ChunkPlan, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -177,32 +194,38 @@ func BuildChunkPlan(l *Layout) (*ChunkPlan, error) {
 	cp := &ChunkPlan{ChunkSize: l.ChunkSize}
 	cs := l.ChunkSize
 	for nid, ps := range l.NodeSamples {
-		var cur *Chunk
-		for _, p := range ps {
+		start := -1 // ps[start:i] is the open chunk's run of complete samples; -1: none open
+		var index int64
+		closeChunk := func(end int) {
+			if start < 0 {
+				return
+			}
+			cp.Chunks = append(cp.Chunks, Chunk{
+				Node:        uint16(nid),
+				Index:       int(index),
+				Offset:      index * cs,
+				Length:      int32(cs),
+				Samples:     ps[start:end:end],
+				FirstSample: ps[start].Sample,
+			})
+			start = -1
+		}
+		for i, p := range ps {
 			first := p.Offset / cs
 			last := (p.Offset + int64(p.Len) - 1) / cs
 			if first != last {
+				closeChunk(i)
 				cp.Edges = append(cp.Edges, Edge{Node: uint16(nid), Placed: p})
 				continue
 			}
-			if cur == nil || int64(cur.Index) != first {
-				if cur != nil {
-					cp.Chunks = append(cp.Chunks, *cur)
-				}
-				end := (first + 1) * cs
-				cur = &Chunk{
-					Node:        uint16(nid),
-					Index:       int(first),
-					Offset:      first * cs,
-					Length:      int32(end - first*cs),
-					FirstSample: p.Sample,
-				}
+			if index != first {
+				closeChunk(i)
 			}
-			cur.Samples = append(cur.Samples, p)
+			if start < 0 {
+				start, index = i, first
+			}
 		}
-		if cur != nil {
-			cp.Chunks = append(cp.Chunks, *cur)
-		}
+		closeChunk(len(ps))
 	}
 	return cp, nil
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -311,6 +312,71 @@ func TestChunkPlanCoverageProperty(t *testing.T) {
 		return len(order) == len(sizes)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: on any back-to-back layout the chunk spans plus the edge
+// samples are the samples' bytes and nothing else: every sample lies in
+// exactly one of them, they are pairwise disjoint, their lengths sum to
+// the sample bytes, and each span stays inside its grid cell.
+func TestChunkSpansCoverSampleBytesExactly(t *testing.T) {
+	f := func(sizesRaw []uint16, nodesRaw uint8, chunkRaw uint8) bool {
+		if len(sizesRaw) == 0 {
+			return true
+		}
+		nodes := int(nodesRaw%4) + 1
+		chunk := int64(512) << (chunkRaw % 4) // 512 B .. 4 KiB against samples of 1 .. 4000 B
+		sizes := make([]int, len(sizesRaw))
+		var sampleBytes int64
+		for i, s := range sizesRaw {
+			sizes[i] = int(s%4000) + 1
+			sampleBytes += int64(sizes[i])
+		}
+		cp, err := BuildChunkPlan(makeLayout(sizes, nodes, chunk))
+		if err != nil {
+			return false
+		}
+		type rng struct{ off, end int64 }
+		perNode := make([][]rng, nodes)
+		covered := make([]int, len(sizes))
+		var total int64
+		for i := range cp.Chunks {
+			c := &cp.Chunks[i]
+			off, n := c.Span()
+			if off < c.Offset || off+int64(n) > c.Offset+int64(c.Length) {
+				return false // span leaves its grid cell
+			}
+			for _, p := range c.Samples {
+				if p.Offset < off || p.Offset+int64(p.Len) > off+int64(n) {
+					return false // a complete sample outside its chunk's span
+				}
+				covered[p.Sample]++
+			}
+			perNode[c.Node] = append(perNode[c.Node], rng{off, off + int64(n)})
+			total += int64(n)
+		}
+		for _, e := range cp.Edges {
+			covered[e.Placed.Sample]++
+			perNode[e.Node] = append(perNode[e.Node], rng{e.Placed.Offset, e.Placed.Offset + int64(e.Placed.Len)})
+			total += int64(e.Placed.Len)
+		}
+		for _, n := range covered {
+			if n != 1 {
+				return false
+			}
+		}
+		for _, rs := range perNode {
+			sort.Slice(rs, func(i, j int) bool { return rs[i].off < rs[j].off })
+			for i := 1; i < len(rs); i++ {
+				if rs[i].off < rs[i-1].end {
+					return false // two fetch ranges overlap
+				}
+			}
+		}
+		return total == sampleBytes
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -43,9 +43,12 @@ test:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# Every package but the figure sweeps (pure simulation, one goroutine,
+# ~10x slower under the detector than the rest together). The timeout
+# is for internal/blockdev, whose pinned-view race tests alone run nine
+# minutes under the detector on a 2-core box.
 race:
-	$(GO) test -race ./internal/nvmetcp ./internal/live ./internal/chaos ./internal/bufpool ./internal/blockdev \
-		./internal/consensus ./internal/coord ./internal/peercache
+	$(GO) test -race -timeout 20m $$($(GO) list ./... | grep -v internal/figures)
 
 # Chaos soak: run the seeded fault-injection epochs twice to shake out
 # scheduling-dependent bugs in the resilience path.
@@ -73,9 +76,11 @@ bench:
 		./internal/live ./internal/nvmetcp ./internal/bufpool
 
 # Server engine matrix: legacy goroutine-per-command baseline vs the
-# RPQ/SCQ worker pool, staged vs zero-copy, across client queue depths.
+# RPQ/SCQ worker pool, staged vs zero-copy, across client queue depths;
+# and the raw loopback floor beneath it (cold vs hot, split vs same
+# goroutine), which is what the engine's numbers are to be read against.
 bench-target:
-	$(GO) test -run '^$$' -bench BenchmarkTargetServe -benchmem -count=$(BENCHCOUNT) \
+	$(GO) test -run '^$$' -bench 'BenchmarkTargetServe|BenchmarkLoopbackSplit' -benchmem -count=$(BENCHCOUNT) \
 		./internal/nvmetcp
 
 # Machine-readable live-path measurement: epoch throughput trajectory,

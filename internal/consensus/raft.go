@@ -470,32 +470,32 @@ func (n *Node) startElectionLocked() {
 		}(p)
 	}
 
+	// The quorum is checked before each wait, not after each vote: a lone
+	// voter has it with its own vote and must not wait for peers it does
+	// not have.
 	granted := 1 // own vote
 	needed := len(n.cfg.Peers)/2 + 1
-	for i := 0; i < len(peers); i++ {
-		var ok bool
+	for answered := 0; granted < needed; answered++ {
+		if answered == len(peers) {
+			return // lost; the next election timeout stands again
+		}
 		select {
-		case ok = <-votes:
+		case ok := <-votes:
+			if ok {
+				granted++
+			}
 		case <-n.stopCh:
 			return
 		}
-		if !ok {
-			continue
-		}
-		granted++
-		if granted < needed {
-			continue
-		}
-		n.mu.Lock()
-		if n.role != roleCandidate || n.term != term {
-			n.mu.Unlock()
-			return
-		}
-		n.becomeLeaderLocked()
+	}
+	n.mu.Lock()
+	if n.role != roleCandidate || n.term != term {
 		n.mu.Unlock()
-		n.kickReplication()
 		return
 	}
+	n.becomeLeaderLocked()
+	n.mu.Unlock()
+	n.kickReplication()
 }
 
 // becomeLeaderLocked installs leader state and appends the term no-op
@@ -516,6 +516,7 @@ func (n *Node) becomeLeaderLocked() {
 	n.log = append(n.log, noop)
 	n.mets.LastIndex.Store(int64(noop.Index))
 	n.matchIndex[n.cfg.ID] = noop.Index
+	n.advanceCommitLocked() // a lone voter is its own majority: no ack will come to commit the no-op
 	n.cfg.Logf("consensus %s: elected leader, term %d", n.cfg.ID, n.term)
 }
 

@@ -249,6 +249,28 @@ func TestElectionAndReplication(t *testing.T) {
 	}
 }
 
+// TestSingleReplicaElectsAndCommits: a one-voter group is its own
+// majority. It must elect itself at the first election timeout without
+// waiting for votes nobody will cast, and commit and apply its proposals
+// without a replication ack nobody will send.
+func TestSingleReplicaElectsAndCommits(t *testing.T) {
+	c := startCluster(t, 1, 0)
+	leader := c.waitLeader(t, nil)
+	if st := leader.Status(); !st.IsLeader || st.Term == 0 {
+		t.Fatalf("lone node status %+v", st)
+	}
+	for i := 0; i < 5; i++ {
+		if _, _, err := leader.Propose([]byte{byte(i)}); err != nil {
+			t.Fatalf("proposal %d on a lone leader: %v", i, err)
+		}
+	}
+	for j, e := range c.fsms[0].waitApplied(t, 5, 5*time.Second) {
+		if len(e.Data) != 1 || e.Data[0] != byte(j) {
+			t.Fatalf("applied entry %d = %v", j, e.Data)
+		}
+	}
+}
+
 func TestLeaderFailover(t *testing.T) {
 	c := startCluster(t, 3, 0)
 	first := c.waitLeader(t, nil)

@@ -178,20 +178,28 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // data read back through a file system.
 func ChecksumBytes(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
-// fillDeterministic generates a reproducible byte stream for (seed, idx).
+// fillDeterministic generates a reproducible byte stream for (seed, idx):
+// the little-endian words of an xorshift64* sequence, the last one cut
+// to fit.
 func fillDeterministic(seed, idx int64, buf []byte) {
 	x := uint64(seed)*0x9E3779B97F4A7C15 ^ uint64(idx)*0xBF58476D1CE4E5B9
 	if x == 0 {
 		x = 0x2545F4914F6CDD1D
 	}
-	var word [8]byte
-	for off := 0; off < len(buf); off += 8 {
+	for len(buf) > 0 {
 		// xorshift64*
 		x ^= x >> 12
 		x ^= x << 25
 		x ^= x >> 27
-		binary.LittleEndian.PutUint64(word[:], x*0x2545F4914F6CDD1D)
-		copy(buf[off:], word[:])
+		w := x * 0x2545F4914F6CDD1D
+		if len(buf) < 8 {
+			var word [8]byte
+			binary.LittleEndian.PutUint64(word[:], w)
+			copy(buf, word[:])
+			return
+		}
+		binary.LittleEndian.PutUint64(buf, w)
+		buf = buf[8:]
 	}
 }
 

@@ -42,6 +42,37 @@ func TestContentDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
+// TestFillDeterministicStream pins the content stream: word-at-a-time
+// generation must produce the bytes of the byte-at-a-time definition
+// for every length, including a cut last word, so datasets uploaded by
+// one build verify under another.
+func TestFillDeterministicStream(t *testing.T) {
+	reference := func(seed, idx int64, buf []byte) {
+		x := uint64(seed)*0x9E3779B97F4A7C15 ^ uint64(idx)*0xBF58476D1CE4E5B9
+		if x == 0 {
+			x = 0x2545F4914F6CDD1D
+		}
+		for off := range buf {
+			if off%8 == 0 {
+				x ^= x >> 12
+				x ^= x << 25
+				x ^= x >> 27
+			}
+			buf[off] = byte((x * 0x2545F4914F6CDD1D) >> (8 * (off % 8)))
+		}
+	}
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 1023, 4096, 100001} {
+		for _, seed := range []int64{0, 1, -5} {
+			got, want := make([]byte, n+1), make([]byte, n+1)
+			fillDeterministic(seed, int64(n), got[:n])
+			reference(seed, int64(n), want[:n])
+			if string(got) != string(want) {
+				t.Fatalf("seed %d, %d bytes: stream differs from its definition (or ran past the buffer)", seed, n)
+			}
+		}
+	}
+}
+
 func TestFillContentTooSmallPanics(t *testing.T) {
 	d := Generate(Config{Seed: 1, NumSamples: 1, Dist: Fixed(100)})
 	defer func() {

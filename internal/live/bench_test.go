@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dlfs/internal/blockdev"
+	"dlfs/internal/dataset"
 	"dlfs/internal/nvmetcp"
 )
 
@@ -22,6 +23,37 @@ func benchTargets(b *testing.B, n int) []string {
 		addrs[i] = addr
 	}
 	return addrs
+}
+
+// BenchmarkMount measures dlfs_mount (place, upload, index) against
+// fresh targets, on the benchmark's two size mixes: per-sample cost on
+// the IMDB one, per-byte cost on the ImageNet one.
+func BenchmarkMount(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		samples int
+		dist    dataset.SizeDist
+	}{
+		{"imdb", 30000, dataset.IMDBDist()},
+		{"imagenet", 1024, dataset.ImageNetDist()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			ds := dataset.Generate(dataset.Config{Label: "bench", Seed: 1, NumSamples: tc.samples, Dist: tc.dist})
+			b.SetBytes(ds.TotalBytes())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				addrs := benchTargets(b, 2)
+				b.StartTimer()
+				fs, err := Mount(addrs, ds, Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				fs.Close() //nolint:errcheck
+			}
+		})
+	}
 }
 
 // BenchmarkLiveEpoch measures end-to-end epoch throughput (samples/sec

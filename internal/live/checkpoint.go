@@ -40,8 +40,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dlfs/internal/nvmetcp"
@@ -145,13 +145,6 @@ type Checkpointer struct {
 	// save. It only advances when a save commits, so a failed save
 	// retries into the same slot rather than clobbering the good one.
 	nextSlot int
-
-	// noVec latches per target when it rejects opWriteVec with
-	// statusBadOp (an old-opcode build during a rolling upgrade): later
-	// saves use per-extent opWrite against it. Like the read path's
-	// noAssembly latch, it is a capability fact — never a breaker or
-	// retry event.
-	noVec []atomic.Bool
 }
 
 // Checkpointer binds a checkpoint region above the mounted dataset.
@@ -181,22 +174,12 @@ func (fs *FS) Checkpointer(cfg CheckpointConfig) (*Checkpointer, error) {
 		cfg:      cfg,
 		base:     cfg.BaseOffset + int64(fs.rank)*cfg.RankRegionBytes,
 		nextSlot: -1,
-		noVec:    make([]atomic.Bool, len(fs.targets)),
 	}, nil
 }
 
 // dataHighWater reports one past the largest dataset byte offset in use
-// on any target, recomputed from the deterministic placement.
-func (fs *FS) dataHighWater() int64 {
-	var hw int64
-	for i, pl := range fs.placed {
-		_ = fs.nodeOf[i] // placement is per target, but the max is what matters
-		if end := pl.Offset + int64(pl.Len); end > hw {
-			hw = end
-		}
-	}
-	return hw
-}
+// on any target: the longest shard.
+func (fs *FS) dataHighWater() int64 { return slices.Max(fs.shardLen) }
 
 // slotBase returns the base offset of double-buffer slot idx (0 or 1).
 func (c *Checkpointer) slotBase(idx int) int64 {
@@ -382,128 +365,35 @@ func (c *Checkpointer) Save(step uint64, state []byte) error {
 	return nil
 }
 
-// writeTarget ships one target's shard set: gathered opWriteVec
-// commands of up to SegsPerCmd extents, posted back-to-back and waited
-// as a pipeline. A target that rejects the opcode is latched and served
-// per-extent opWrite instead.
+// writeTarget ships one target's shard set on the mount's bulk-write
+// engine: gathered commands of up to SegsPerCmd extents, a bounded
+// number in flight. state is the caller's and outlives the save, so no
+// batch needs a release.
 func (c *Checkpointer) writeTarget(t int, segs []nvmetcp.WSeg) error {
-	fs := c.fs
-	tg := fs.targets[t]
-	if c.noVec[t].Load() {
-		return c.writeTargetPlain(t, segs)
-	}
-	type flight struct {
-		pd     *nvmetcp.RePending
-		bytes  int64
-		nsegs  int64
-		posted time.Time
-		err    error
-	}
-	// Post the gathered commands from a small fan of goroutines.
-	// WriteVecAsync performs the vectored socket write in the caller, so
-	// a single posting loop serialises the whole shard set behind one
-	// send at a time; a fan keeps a send in flight on each of the
-	// target's queue pairs and overlaps the client-side socket copies
-	// with the target's ingest. Commands land at disjoint fixed offsets,
-	// so posting order is irrelevant.
-	nb := (len(segs) + c.cfg.SegsPerCmd - 1) / c.cfg.SegsPerCmd
-	flights := make([]flight, nb)
-	const postFan = 4
-	sem := make(chan struct{}, postFan)
-	var pwg sync.WaitGroup
-	for bi := 0; bi < nb; bi++ {
-		lo := bi * c.cfg.SegsPerCmd
-		hi := min(lo+c.cfg.SegsPerCmd, len(segs))
-		batch := segs[lo:hi]
-		sem <- struct{}{}
-		pwg.Add(1)
-		go func(f *flight, batch []nvmetcp.WSeg) {
-			defer pwg.Done()
-			defer func() { <-sem }()
-			for _, s := range batch {
-				f.bytes += int64(len(s.Src))
-			}
-			f.nsegs, f.posted = int64(len(batch)), time.Now()
-			f.pd, f.err = tg.qp.WriteVecAsync(batch)
-		}(&flights[bi], batch)
-	}
-	pwg.Wait()
-	var hardErr error
-	downgrade := false
-	for i := range flights {
-		f := &flights[i]
-		err := f.err
-		if err == nil && f.pd != nil {
-			_, err = f.pd.Wait()
+	bw := newBulkWriter(c.fs.targets[t], c.fs.pipe)
+	for lo := 0; lo < len(segs); lo += c.cfg.SegsPerCmd {
+		if !bw.post(segs[lo:min(lo+c.cfg.SegsPerCmd, len(segs))], nil) {
+			break
 		}
-		if err != nil {
-			var unsup *nvmetcp.UnsupportedOpError
-			if errors.As(err, &unsup) {
-				downgrade = true
-			} else if hardErr == nil {
-				hardErr = fmt.Errorf("live: checkpoint write to target %d: %w", t, err)
-			}
-			continue
-		}
-		fs.pipe.ObserveCkptWrite(f.bytes, f.nsegs, time.Since(f.posted))
 	}
-	if hardErr != nil {
-		return hardErr
-	}
-	if downgrade {
-		// Old-opcode target mid-rolling-upgrade: latch, then re-ship
-		// this target's whole shard set per-extent — the writes are
-		// idempotent fixed-offset, so extents that already landed are
-		// simply rewritten with the same bytes.
-		c.noVec[t].Store(true)
-		fs.pipe.CkptDowngrades.Add(1)
-		return c.writeTargetPlain(t, segs)
+	if err := bw.wait(); err != nil {
+		return fmt.Errorf("live: checkpoint write to target %d: %w", t, err)
 	}
 	return nil
 }
 
-// writeTargetPlain is the downgrade path: one opWrite per shard,
-// pipelined across the target's queue pairs.
-func (c *Checkpointer) writeTargetPlain(t int, segs []nvmetcp.WSeg) error {
-	fs := c.fs
-	tg := fs.targets[t]
-	type flight struct {
-		pd     *nvmetcp.RePending
-		bytes  int64
-		posted time.Time
-	}
-	flights := make([]flight, 0, len(segs))
-	for _, s := range segs {
-		pd, err := tg.qp.WriteAsync(s.Src, s.Off)
-		if err != nil {
-			return fmt.Errorf("live: checkpoint write to target %d: %w", t, err)
-		}
-		flights = append(flights, flight{pd: pd, bytes: int64(len(s.Src)), posted: time.Now()})
-	}
-	for _, f := range flights {
-		if _, err := f.pd.Wait(); err != nil {
-			return fmt.Errorf("live: checkpoint write to target %d: %w", t, err)
-		}
-		fs.pipe.ObserveCkptWrite(f.bytes, 1, time.Since(f.posted))
-	}
-	return nil
-}
-
-// flushTarget runs the durability barrier on every queue pair of one
-// target. A target that does not speak opFlush (rolling upgrade) has
-// already applied each completed write synchronously, so the barrier
-// degrades to the write completions themselves.
+// flushTarget runs the durability barrier on one target (target.flush
+// says what a target without opFlush gets instead).
 func (c *Checkpointer) flushTarget(t int) error {
-	err := c.fs.targets[t].qp.Flush()
-	var unsup *nvmetcp.UnsupportedOpError
-	if errors.As(err, &unsup) {
-		c.fs.pipe.CkptDowngrades.Add(1)
-		return nil
-	}
-	if err != nil {
+	flushed, err := c.fs.targets[t].flush()
+	switch {
+	case err != nil:
 		return fmt.Errorf("live: checkpoint flush on target %d: %w", t, err)
+	case flushed:
+		c.fs.pipe.CkptFlushes.Add(1)
+	default:
+		c.fs.pipe.CkptDowngrades.Add(1)
 	}
-	c.fs.pipe.CkptFlushes.Add(1)
 	return nil
 }
 

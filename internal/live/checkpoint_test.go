@@ -449,7 +449,7 @@ func TestCheckpointSameParityStepsAlternateSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer in.Close() //nolint:errcheck
+	defer in.Close()                              //nolint:errcheck
 	off := int64(base) + ckptManifestReserve + 50 // shard 0 of slot 0, target 0
 	evil := make([]byte, 1)
 	if _, err := in.ReadAt(evil, off); err != nil {

@@ -9,10 +9,7 @@ import (
 	"dlfs/internal/coord"
 	"dlfs/internal/dataset"
 	"dlfs/internal/directory"
-	"dlfs/internal/hugepage"
 	"dlfs/internal/metrics"
-	"dlfs/internal/plan"
-	"dlfs/internal/sample"
 )
 
 // ErrFingerprintMismatch marks a multi-node mount whose assembled
@@ -110,67 +107,40 @@ func validateCluster(rank, world int, addrs []string) error {
 // mountWithSession runs the mount protocol over an established
 // control-plane session (classic single coordinator or replica set).
 func mountWithSession(cl coord.Session, rank, world int, addrs []string, ds *dataset.Dataset, cfg Config) (*FS, error) {
-	mm := &metrics.Mount{}
-	if cfg.StageHistograms {
-		mm.Hist = &metrics.MountHist{}
-	}
-	fail := func(err error) (*FS, error) {
+	fs, err := open(addrs, ds, cfg)
+	if err != nil {
 		cl.Close() //nolint:errcheck
 		return nil, err
 	}
+	fs.rank, fs.world, fs.coord, fs.mstats = rank, world, cl, &metrics.Mount{}
+	if cfg.StageHistograms {
+		fs.mstats.Hist = &metrics.MountHist{}
+	}
+	if err := fs.mountCluster(); err != nil {
+		fs.Close() //nolint:errcheck
+		return nil, err
+	}
+	return fs, nil
+}
 
-	counters := &metrics.Resilience{}
-	targets, err := dialTargets(addrs, cfg, counters)
-	if err != nil {
-		return fail(err)
-	}
-	failTargets := func(err error) (*FS, error) {
-		for _, tg := range targets {
-			tg.qp.Close() //nolint:errcheck
-		}
-		return fail(err)
-	}
+// mountCluster is one rank's side of the multi-node dlfs_mount.
+func (fs *FS) mountCluster() error {
+	cl, rank, ds, mm := fs.coord, fs.rank, fs.ds, fs.mstats
 	if err := timedBarrier(cl, barrierMountStart, mm); err != nil {
-		return failTargets(fmt.Errorf("live: mount barrier: %w", err))
+		return fmt.Errorf("live: mount barrier: %w", err)
 	}
 
-	// Index phase: walk the dataset in index order. Every rank computes
-	// the full deterministic placement (home node and offset of every
-	// sample) but uploads and indexes only its own shard — the paper's
-	// "each node builds the AVL tree for the samples it stored".
+	// Index phase. Every rank computes the full deterministic placement
+	// (home node and offset of every sample) but uploads and indexes only
+	// its own shard — the paper's "each node builds the AVL tree for the
+	// samples it stored".
 	istart := time.Now()
-	n := world
-	part := directory.NewPartition(uint16(rank))
-	offs := make([]int64, n)
-	placed := make([]plan.Placed, ds.Len())
-	nodeOf := make([]uint16, ds.Len())
-	keyIdx := make(map[uint64]int, ds.Len())
-	for i := 0; i < ds.Len(); i++ {
-		key := ds.Samples[i].Key()
-		if _, dup := keyIdx[key]; dup {
-			return failTargets(fmt.Errorf("live: key collision on sample %d", i))
-		}
-		keyIdx[key] = i
-		nid := directory.HomeNode(key, n)
-		size := ds.Samples[i].Size
-		if nid == uint16(rank) {
-			content := ds.Content(i)
-			if _, err := targets[nid].qp.WriteAt(content, offs[nid]); err != nil {
-				return failTargets(fmt.Errorf("live: rank %d uploading sample %d: %w", rank, i, err))
-			}
-			e, err := sample.NewEntry(nid, key, offs[nid], int32(size))
-			if err != nil {
-				return failTargets(err)
-			}
-			if err := part.Add(e); err != nil {
-				return failTargets(err)
-			}
-			mm.UploadBytes.Add(int64(size))
-		}
-		placed[i] = plan.Placed{Sample: i, Offset: offs[nid], Len: int32(size)}
-		nodeOf[i] = nid
-		offs[nid] += int64(size)
+	parts, err := fs.load(rank)
+	if err != nil {
+		return err
 	}
+	part := parts[rank]
+	mm.UploadBytes.Add(fs.shardLen[rank])
 	mm.LocalEntries.Store(int64(part.Len()))
 	mm.ObserveIndex(time.Since(istart))
 
@@ -184,7 +154,7 @@ func mountWithSession(cl coord.Session, rank, world int, addrs []string, ds *dat
 	gstart := time.Now()
 	blobs, err := cl.Allgather(gatherDirectory, blob)
 	if err != nil {
-		return failTargets(fmt.Errorf("live: directory allgather: %w", err))
+		return fmt.Errorf("live: directory allgather: %w", err)
 	}
 	mm.ObserveAllgather(time.Since(gstart))
 	for r, b := range blobs {
@@ -196,20 +166,21 @@ func mountWithSession(cl coord.Session, rank, world int, addrs []string, ds *dat
 	astart := time.Now()
 	dir, err := directory.FromBlobs(blobs)
 	if err != nil {
-		return failTargets(fmt.Errorf("live: assembling directory: %w", err))
+		return fmt.Errorf("live: assembling directory: %w", err)
 	}
 	if dir.NumSamples() != ds.Len() {
-		return failTargets(fmt.Errorf("live: assembled directory has %d entries, dataset has %d", dir.NumSamples(), ds.Len()))
+		return fmt.Errorf("live: assembled directory has %d entries, dataset has %d", dir.NumSamples(), ds.Len())
 	}
 	// Cross-check the replicated entries against the local deterministic
 	// placement: every sample must resolve to the offset this rank
 	// computed, or a peer indexed a different dataset.
 	for i := 0; i < ds.Len(); i++ {
 		e, _, _, ok := dir.Lookup(ds.Samples[i].Key())
-		if !ok || e.NID() != nodeOf[i] || e.Offset() != placed[i].Offset || e.Len() != placed[i].Len {
-			return failTargets(fmt.Errorf("live: replicated entry for sample %d disagrees with local placement", i))
+		if !ok || e.NID() != fs.nodeOf[i] || e.Offset() != fs.placed[i].Offset || e.Len() != fs.placed[i].Len {
+			return fmt.Errorf("live: replicated entry for sample %d disagrees with local placement", i)
 		}
 	}
+	fs.dir = dir
 	mm.TotalEntries.Store(int64(dir.NumSamples()))
 	mm.ObserveAssemble(time.Since(astart))
 
@@ -221,55 +192,32 @@ func mountWithSession(cl coord.Session, rank, world int, addrs []string, ds *dat
 	binary.LittleEndian.PutUint64(fpw[:], fp)
 	fps, err := cl.Allgather(gatherFingerprint, fpw[:])
 	if err != nil {
-		return failTargets(fmt.Errorf("live: fingerprint allgather: %w", err))
+		return fmt.Errorf("live: fingerprint allgather: %w", err)
 	}
 	for r, b := range fps {
 		if len(b) != 8 {
-			return failTargets(fmt.Errorf("live: rank %d sent a %d-byte fingerprint", r, len(b)))
+			return fmt.Errorf("live: rank %d sent a %d-byte fingerprint", r, len(b))
 		}
 		if got := binary.LittleEndian.Uint64(b); got != fp {
-			return failTargets(&FingerprintError{Rank: rank, Local: fp, Peer: r, Remote: got})
+			return &FingerprintError{Rank: rank, Local: fp, Peer: r, Remote: got}
 		}
 	}
 	if err := timedBarrier(cl, barrierMountDone, mm); err != nil {
-		return failTargets(fmt.Errorf("live: mount barrier: %w", err))
-	}
-
-	arena, err := hugepage.NewArena(cfg.CacheBytes, cfg.ChunkSize)
-	if err != nil {
-		return failTargets(err)
-	}
-	fs := &FS{
-		cfg:      cfg,
-		ds:       ds,
-		dir:      dir,
-		targets:  targets,
-		counters: counters,
-		pipe:     &metrics.Pipeline{},
-		arena:    hugepage.NewBlocking(arena),
-		placed:   placed,
-		nodeOf:   nodeOf,
-		keyIdx:   keyIdx,
-		rank:     rank,
-		world:    world,
-		coord:    cl,
-		mstats:   mm,
+		return fmt.Errorf("live: mount barrier: %w", err)
 	}
 	if err := fs.finishSetup(); err != nil {
-		fs.Close() //nolint:errcheck
-		return nil, err
+		return err
 	}
 	// Cooperative peer cache: host this rank's sample service and learn
 	// every peer's address through one more allgather. PeerCache must be
 	// set identically on all ranks or the collective wedges until the
 	// coordinator wait timeout.
-	if cfg.PeerCache && world > 1 {
+	if fs.cfg.PeerCache && fs.world > 1 {
 		if err := fs.startPeerCache(cl); err != nil {
-			fs.Close() //nolint:errcheck
-			return nil, fmt.Errorf("live: peer cache: %w", err)
+			return fmt.Errorf("live: peer cache: %w", err)
 		}
 	}
-	return fs, nil
+	return nil
 }
 
 // timedBarrier runs one coordinator barrier, accounting the wait.

@@ -8,6 +8,7 @@ import (
 
 	"dlfs/internal/coord"
 	"dlfs/internal/dataset"
+	"dlfs/internal/nvmetcp"
 )
 
 // startCoord spins up a coordinator for world ranks.
@@ -59,11 +60,23 @@ func mountCluster(t *testing.T, caddr string, addrs []string, ds *dataset.Datase
 // every sample exactly once with content matching the single-node epoch.
 func TestClusterMountThreeRanks(t *testing.T) {
 	const world = 3
-	addrs := startTargets(t, world)
+	tgts, addrs := startTargetObjs(t, world, 256<<20, nvmetcp.Config{Depth: 32})
 	caddr := startCoord(t, world)
 	ds := testDS(240, 3000)
 	cfg := Config{ChunkSize: 16 << 10, CacheBytes: 2 << 20}
 	fss := mountCluster(t, caddr, addrs, ds, cfg)
+
+	// Every shard was uploaded once, by its own rank: what the ranks say
+	// they wrote and what the targets took in are both the dataset.
+	var uploaded, served int64
+	for r, fs := range fss {
+		uploaded += fs.MountStats().UploadBytes
+		_, b := tgts[r].Served()
+		served += b
+	}
+	if uploaded != ds.TotalBytes() || served != ds.TotalBytes() {
+		t.Fatalf("ranks uploaded %d bytes, targets took in %d, dataset is %d", uploaded, served, ds.TotalBytes())
+	}
 
 	// Identical replicas on every rank.
 	fp := fss[0].Directory().Fingerprint()

@@ -111,6 +111,42 @@ func checkExactlyOnce(t *testing.T, ds *dataset.Dataset, counts []map[int]int, s
 	}
 }
 
+// TestClusterMountSingleReplicaCoordinator: a coordinator set of one
+// replica is a deployment, not a degenerate case (it is what replaces the
+// classic single coordinator). It used to sit leaderless for ever, and
+// every join failed with "coord: no leader".
+func TestClusterMountSingleReplicaCoordinator(t *testing.T) {
+	const world = 2
+	addrs := startTargets(t, world)
+	_, peers := startReplicaSet(t, 1, world)
+	ds := testDS(120, 2000)
+	fss := mountClusterPeers(t, peers, addrs, ds, Config{ChunkSize: 16 << 10, CacheBytes: 2 << 20})
+
+	counts := make([]map[int]int, world)
+	sums := make([]map[int]uint32, world)
+	errs := make([]error, world)
+	var wg sync.WaitGroup
+	for r, fs := range fss {
+		wg.Add(1)
+		go func(r int, fs *FS) {
+			defer wg.Done()
+			ep, err := fs.ClusterSequence(5)
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			counts[r], sums[r], errs[r] = drainTally(ep)
+		}(r, fs)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d epoch: %v", r, err)
+		}
+	}
+	checkExactlyOnce(t, ds, counts, sums)
+}
+
 // TestChaosClusterPeerDiesMidMountBarrier is the mount-barrier rank-death
 // case: rank 2's coordinator connection runs through a chaos proxy and is
 // hard-killed while ranks 0 and 1 are blocked inside the mount-start

@@ -125,6 +125,11 @@ type target struct {
 	// a capability fact, not a health signal — the breaker never sees
 	// the downgrade.
 	noAssembly atomic.Bool
+
+	// noVec is the write side's latch of the same kind: the target
+	// rejected opWriteVec, so gathered batches go to it as per-extent
+	// opWrite from then on (bulkWriter.sendOnce).
+	noVec atomic.Bool
 }
 
 // noteFailure feeds a fetch error into the target's circuit breaker.

@@ -38,7 +38,6 @@ import (
 	"dlfs/internal/metrics"
 	"dlfs/internal/nvmetcp"
 	"dlfs/internal/plan"
-	"dlfs/internal/sample"
 	"dlfs/internal/trace"
 )
 
@@ -218,6 +217,7 @@ type FS struct {
 	placed   []plan.Placed
 	nodeOf   []uint16
 	keyIdx   map[uint64]int
+	shardLen []int64     // per node: its shard is the byte range [0, shardLen[n])
 	unitPlan []unit      // sorted by (node, offset); epochs copy it, never touch it
 	closed   atomic.Bool // atomic: the peer-cache server races remote requests against Close
 
@@ -242,70 +242,45 @@ var (
 // sockets. Each target is dialled Config.QueuePairs times. The caller
 // owns closing the returned FS.
 func Mount(addrs []string, ds *dataset.Dataset, cfg Config) (*FS, error) {
-	cfg = cfg.withDefaults()
+	fs, err := open(addrs, ds, cfg.withDefaults())
+	if err != nil {
+		return nil, err
+	}
+	if err := fs.mount(); err != nil {
+		fs.Close() //nolint:errcheck
+		return nil, err
+	}
+	return fs, nil
+}
+
+// open dials the targets and returns an FS that owns the connections:
+// from here on, whatever step of a mount fails, Close undoes it.
+func open(addrs []string, ds *dataset.Dataset, cfg Config) (*FS, error) {
 	counters := &metrics.Resilience{}
 	targets, err := dialTargets(addrs, cfg, counters)
 	if err != nil {
 		return nil, err
 	}
-
-	n := len(addrs)
-	parts := make([]*directory.Partition, n)
-	for i := range parts {
-		parts[i] = directory.NewPartition(uint16(i))
-	}
-	offs := make([]int64, n)
-	placed := make([]plan.Placed, ds.Len())
-	nodeOf := make([]uint16, ds.Len())
-	keyIdx := make(map[uint64]int, ds.Len())
-	for i := 0; i < ds.Len(); i++ {
-		key := ds.Samples[i].Key()
-		if _, dup := keyIdx[key]; dup {
-			return nil, fmt.Errorf("live: key collision on sample %d", i)
-		}
-		keyIdx[key] = i
-		nid := directory.HomeNode(key, n)
-		content := ds.Content(i)
-		if _, err := targets[nid].qp.WriteAt(content, offs[nid]); err != nil {
-			return nil, fmt.Errorf("live: uploading sample %d: %w", i, err)
-		}
-		e, err := sample.NewEntry(nid, key, offs[nid], int32(len(content)))
-		if err != nil {
-			return nil, err
-		}
-		if err := parts[nid].Add(e); err != nil {
-			return nil, err
-		}
-		placed[i] = plan.Placed{Sample: i, Offset: offs[nid], Len: int32(len(content))}
-		nodeOf[i] = nid
-		offs[nid] += int64(len(content))
-	}
-	dir, err := directory.New(parts)
-	if err != nil {
-		return nil, err
-	}
-	arena, err := hugepage.NewArena(cfg.CacheBytes, cfg.ChunkSize)
-	if err != nil {
-		return nil, err
-	}
-	fs := &FS{
+	return &FS{
 		cfg:      cfg,
 		ds:       ds,
-		dir:      dir,
 		targets:  targets,
 		counters: counters,
 		pipe:     &metrics.Pipeline{},
-		arena:    hugepage.NewBlocking(arena),
-		placed:   placed,
-		nodeOf:   nodeOf,
-		keyIdx:   keyIdx,
 		world:    1,
+	}, nil
+}
+
+// mount is the single-node dlfs_mount: this client owns every shard.
+func (fs *FS) mount() error {
+	parts, err := fs.load(allNodes)
+	if err != nil {
+		return err
 	}
-	if err := fs.finishSetup(); err != nil {
-		fs.Close() //nolint:errcheck
-		return nil, err
+	if fs.dir, err = directory.New(parts); err != nil {
+		return err
 	}
-	return fs, nil
+	return fs.finishSetup()
 }
 
 // dialTargets opens a queue-pair group per target address, closing any
@@ -349,9 +324,14 @@ func dialTargets(addrs []string, cfg Config, counters *metrics.Resilience) ([]*t
 	return targets, nil
 }
 
-// finishSetup attaches the stage histograms, buffer pool and read cache
-// configured by cfg, and builds the unit plan.
+// finishSetup attaches the sample cache arena, stage histograms, buffer
+// pool and read cache configured by cfg, and builds the unit plan.
 func (fs *FS) finishSetup() error {
+	arena, err := hugepage.NewArena(fs.cfg.CacheBytes, fs.cfg.ChunkSize)
+	if err != nil {
+		return err
+	}
+	fs.arena = hugepage.NewBlocking(arena)
 	if fs.cfg.StageHistograms {
 		fs.pipe.Hist = &metrics.PipelineHist{}
 	}

@@ -5,23 +5,13 @@ import (
 	"sync"
 	"testing"
 
-	"dlfs/internal/blockdev"
 	"dlfs/internal/dataset"
 	"dlfs/internal/nvmetcp"
 )
 
 func startTargets(t *testing.T, n int) []string {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		tgt := nvmetcp.NewTarget(blockdev.New(256<<20), 32)
-		addr, err := tgt.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { tgt.Close() }) //nolint:errcheck
-		addrs[i] = addr
-	}
+	_, addrs := startTargetObjs(t, n, 256<<20, nvmetcp.Config{Depth: 32})
 	return addrs
 }
 

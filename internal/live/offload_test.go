@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"dlfs/internal/blockdev"
 	"dlfs/internal/chaos"
 	"dlfs/internal/dataset"
 	"dlfs/internal/nvmetcp"
@@ -15,16 +14,7 @@ import (
 // statusBadOp — the pre-offload opcode set of a rolling upgrade.
 func startLegacyTargets(t *testing.T, n int) []string {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		tgt := nvmetcp.NewTargetConfig(blockdev.New(256<<20), nvmetcp.Config{Depth: 32, LegacyOps: true})
-		addr, err := tgt.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { tgt.Close() }) //nolint:errcheck
-		addrs[i] = addr
-	}
+	_, addrs := startTargetObjs(t, n, 256<<20, nvmetcp.Config{Depth: 32, LegacyOps: true})
 	return addrs
 }
 

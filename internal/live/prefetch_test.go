@@ -278,15 +278,15 @@ func TestCloseMidRound(t *testing.T) {
 }
 
 // mountGoroutines counts the goroutines a mount owns: the epoch's and the
-// round's engine (live.(*FS), live.(*Epoch)) and the queue pairs' receive
-// loops. Targets and chaos proxies run in this process too and keep
+// round's engine (live.(*FS), live.(*Epoch)), the upload engine's workers
+// and the queue pairs' receive loops. Targets and chaos proxies run in this process too and keep
 // per-connection goroutines of their own, so a plain count will not do.
 func mountGoroutines() int {
 	buf := make([]byte, 1<<20)
 	n := 0
 	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
 		if strings.Contains(g, "live.(*FS).") || strings.Contains(g, "live.(*Epoch).") ||
-			strings.Contains(g, "nvmetcp.(*Initiator).") {
+			strings.Contains(g, "live.(*bulkWriter).") || strings.Contains(g, "nvmetcp.(*Initiator).") {
 			n++
 		}
 	}

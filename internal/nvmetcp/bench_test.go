@@ -3,11 +3,14 @@ package nvmetcp
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"dlfs/internal/blockdev"
@@ -177,6 +180,130 @@ func benchTargetServe(b *testing.B, cfg Config, depth int) {
 		c.Close() //nolint:errcheck
 	}
 	rwg.Wait()
+}
+
+// BenchmarkLoopbackSplit measures the floor under this package: what
+// plain loopback TCP moves, and what it costs in CPU, with no protocol
+// at all, in the four combinations of two things a transfer through an
+// initiator and a target cannot avoid and the benchmark's reference burst
+// (bench/calibrate.go) does not have. same: one goroutine writes a block
+// and reads it back, as the burst does; split: a writer and a reader on
+// goroutines of their own, as a submitter and a receive loop are. hot:
+// one 256 KiB block sent and landed over and over, so both copies run in
+// cache; cold: the writer walks a 256 MiB source and the reader a 64 MiB
+// destination, as a dataset and an arena are walked. One stream per
+// core. cold/split is what a rung of the ladder can hope for; hot/same
+// is what the ratios in bench/ are taken against (DESIGN.md §10,
+// "transport floor").
+func BenchmarkLoopbackSplit(b *testing.B) {
+	const block = 256 << 10
+	for _, tc := range []struct {
+		name     string
+		src, dst int
+		split    bool
+	}{
+		{"hot/same", block, block, false},
+		{"hot/split", block, block, true},
+		{"cold/same", 256 << 20, 64 << 20, false},
+		{"cold/split", 256 << 20, 64 << 20, true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ln.Close() //nolint:errcheck
+			streams := runtime.GOMAXPROCS(0)
+			type pair struct{ w, r net.Conn }
+			pairs := make([]pair, streams)
+			for i := range pairs {
+				w, err := net.Dial("tcp", ln.Addr().String())
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer w.Close() //nolint:errcheck
+				r, err := ln.Accept()
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer r.Close() //nolint:errcheck
+				// Pinned as the reference burst pins them, so autotuning
+				// cannot move them between runs.
+				if err := errors.Join(w.(*net.TCPConn).SetWriteBuffer(1<<20), r.(*net.TCPConn).SetReadBuffer(1<<20)); err != nil {
+					b.Fatal(err)
+				}
+				pairs[i] = pair{w, r}
+			}
+			src, dst := make([]byte, tc.src), make([]byte, tc.dst)
+			for i := range src {
+				src[i] = byte(i)
+			}
+			// Stream i sends its own 1/streams of the blocks, b.N in all.
+			send := func(p pair, i int) error {
+				for k := i; k < b.N; k += streams {
+					off := k * block % len(src)
+					if _, err := p.w.Write(src[off : off+block]); err != nil {
+						return err
+					}
+					if !tc.split {
+						doff := k * block % len(dst)
+						if _, err := io.ReadFull(p.r, dst[doff:doff+block]); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			}
+			recv := func(p pair, i int) error {
+				for k := i; k < b.N; k += streams {
+					doff := k * block % len(dst)
+					if _, err := io.ReadFull(p.r, dst[doff:doff+block]); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			b.SetBytes(block)
+			var wg sync.WaitGroup
+			var failed atomic.Bool
+			run := func(f func(pair, int) error, p pair, i int) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := f(p, i); err != nil {
+						failed.Store(true)
+						p.w.Close() //nolint:errcheck // unblocks the other end
+						p.r.Close() //nolint:errcheck
+					}
+				}()
+			}
+			cpu0 := processCPU()
+			b.ResetTimer()
+			for i, p := range pairs {
+				run(send, p, i)
+				if tc.split {
+					run(recv, p, i)
+				}
+			}
+			wg.Wait()
+			b.StopTimer()
+			if failed.Load() {
+				b.Fatal("a loopback stream failed")
+			}
+			gib := float64(b.N) * block / (1 << 30)
+			b.ReportMetric((processCPU()-cpu0)/gib, "cpu-s/GiB")
+		})
+	}
+}
+
+// processCPU is the process's user plus system CPU time in seconds.
+func processCPU() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	sec := func(tv syscall.Timeval) float64 { return float64(tv.Sec) + float64(tv.Usec)/1e6 }
+	return sec(ru.Utime) + sec(ru.Stime)
 }
 
 // BenchmarkReadVec measures a coalesced 8-segment command against the

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"testing"
 
 	"dlfs/internal/blockdev"
@@ -120,6 +121,55 @@ func BenchmarkLiveEpoch(b *testing.B) {
 				b.ReportMetric(st.Pipeline.CoalesceRatio(), "segs/wire-read")
 			}
 		})
+	}
+}
+
+// BenchmarkLandingSweep is where perSampleLanding comes from: 96 MiB of
+// Fixed samples over two targets at the defaults, each size through both
+// landings (the threshold forced through the unexported field after
+// Mount), with a consumer that touches two bytes of each sample, as one
+// that decodes elsewhere would. MB/s per cell; the table and the
+// constant it justifies are in DESIGN.md §9.
+var landingSink byte // keeps the consumer's two loads per sample alive
+
+func BenchmarkLandingSweep(b *testing.B) {
+	const totalBytes = 96 << 20
+	for _, kib := range []int{2, 4, 8, 16, 32, 64, 128} {
+		for _, landing := range []struct {
+			name    string
+			landMin int64
+		}{{"arena", 1 << 40}, {"per-sample", 0}} {
+			b.Run(fmt.Sprintf("%dKiB/%s", kib, landing.name), func(b *testing.B) {
+				ds := testDS(totalBytes/(kib<<10), kib<<10)
+				fs, err := Mount(benchTargets(b, 2), ds, Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer fs.Close() //nolint:errcheck
+				fs.landMin = landing.landMin
+				b.SetBytes(totalBytes)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ep, err := fs.Sequence(int64(i))
+					if err != nil {
+						b.Fatal(err)
+					}
+					for {
+						items, ok, err := ep.NextBatch()
+						if err != nil {
+							b.Fatal(err)
+						}
+						for _, it := range items {
+							landingSink += it.Data[0] + it.Data[len(it.Data)-1]
+						}
+						fs.RecycleItems(items)
+						if !ok {
+							break
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

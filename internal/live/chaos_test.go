@@ -300,6 +300,83 @@ func TestChaosDegradedEpochWithDeadTarget(t *testing.T) {
 	t.Logf("degraded stats: %s", st.Resilience)
 }
 
+// TestChaosDegradedLargeSamplesMidEpoch kills one of three targets while
+// an epoch of large samples is under way: its commands die with their
+// scatter lists half filled, straight into the pool buffers NextBatch
+// would have handed out. The epoch must end in a DegradedError naming
+// that target, having delivered no sample twice, none from a skipped
+// unit, and every delivered byte intact (no buffer freed on the failure
+// path while a healthy unit still owned it).
+func TestChaosDegradedLargeSamplesMidEpoch(t *testing.T) {
+	addrs, proxies := startChaosTargets(t, 3, func(i int) chaos.Config {
+		return chaos.Config{Seed: int64(i) + 40}
+	})
+	ds := testDS(150, 128<<10)
+	fs, err := Mount(addrs, ds, Config{
+		RequestTimeout: time.Second, // the mount's 1 MiB writes must not trip it on a loaded box
+
+		DialTimeout:      150 * time.Millisecond,
+		MaxRetries:       2,
+		RetryBaseDelay:   time.Millisecond,
+		RetryMaxDelay:    5 * time.Millisecond,
+		BreakerThreshold: 2,
+		BreakerCooldown:  time.Hour,
+		AllowDegraded:    true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close() //nolint:errcheck
+
+	const dead = 2
+	ep, err := fs.Sequence(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int]bool)
+	var derr *DegradedError
+	for batch := 0; ; batch++ {
+		if batch == 1 {
+			proxies[dead].SetBlackhole(true)
+			proxies[dead].KillActive()
+		}
+		items, ok, err := ep.NextBatch()
+		for _, it := range items {
+			if seen[it.Index] {
+				t.Fatalf("sample %d delivered twice", it.Index)
+			}
+			seen[it.Index] = true
+			if dataset.ChecksumBytes(it.Data) != ds.Checksum(it.Index) {
+				t.Fatalf("sample %d corrupted in degraded run", it.Index)
+			}
+		}
+		fs.RecycleItems(items)
+		if err != nil {
+			if !errors.As(err, &derr) {
+				t.Fatalf("epoch ended with %v, want *DegradedError", err)
+			}
+			break
+		}
+		if !ok {
+			t.Fatal("epoch ended clean with a target dead from its second batch on")
+		}
+	}
+	if len(derr.Nodes) != 1 || derr.Nodes[0] != dead {
+		t.Fatalf("degraded nodes = %v, want [%d]", derr.Nodes, dead)
+	}
+	if derr.Samples == 0 || len(seen)+derr.Samples != ds.Len() {
+		t.Fatalf("delivered %d and skipped %d of %d samples", len(seen), derr.Samples, ds.Len())
+	}
+	for i := 0; i < ds.Len(); i++ {
+		if !seen[i] && fs.nodeOf[i] != dead {
+			t.Fatalf("sample %d of healthy target %d was not delivered", i, fs.nodeOf[i])
+		}
+	}
+	if pl := fs.Pipeline().Snapshot(); pl.CopyNanos != 0 || fs.arena.Arena().PeakInUse() != 0 {
+		t.Fatalf("the epoch did not take the per-sample landing: CopyNanos %d, arena peak %d", pl.CopyNanos, fs.arena.Arena().PeakInUse())
+	}
+}
+
 // TestChaosBreakerRecoversHalfOpen proves the open → half-open → closed
 // cycle: a blackholed target trips the breaker and fast-fails reads;
 // once the fault lifts and the cooldown elapses, a single probe closes

@@ -175,7 +175,7 @@ func (fs *FS) mountCluster() error {
 	// placement: every sample must resolve to the offset this rank
 	// computed, or a peer indexed a different dataset.
 	for i := 0; i < ds.Len(); i++ {
-		e, _, _, ok := dir.Lookup(ds.Samples[i].Key())
+		e, _, _, ok := dir.Lookup(fs.keys[i])
 		if !ok || e.NID() != fs.nodeOf[i] || e.Offset() != fs.placed[i].Offset || e.Len() != fs.placed[i].Len {
 			return fmt.Errorf("live: replicated entry for sample %d disagrees with local placement", i)
 		}

@@ -9,9 +9,10 @@
 // commands striped across them; prefetchers walk the seeded epoch order
 // ahead of the consumer and coalesce adjacent same-target units into
 // single vectored wire reads whose payloads land directly in huge-page
-// cache chunks; sample emission and the ReadSample V-bit cache draw
-// from a size-class buffer pool instead of allocating per call. Each
-// stage (prep, post, poll, copy) is timed into a metrics.Pipeline.
+// cache chunks or, for large samples, in the pool buffers NextBatch
+// hands out; sample emission and the ReadSample V-bit cache draw from
+// that size-class pool instead of allocating per call. Each stage
+// (prep, post, poll, copy) is timed into a metrics.Pipeline.
 //
 // Unlike the simulation, the live path assumes the fabric misbehaves:
 // every queue pair reconnects with per-command deadlines, and a
@@ -219,6 +220,8 @@ type FS struct {
 	keyIdx   map[uint64]int
 	shardLen []int64     // per node: its shard is the byte range [0, shardLen[n])
 	unitPlan []unit      // sorted by (node, offset); epochs copy it, never touch it
+	keys     []uint64    // per sample: its directory key (see place)
+	landMin  int64       // perSampleLanding; only the landing sweep sets it otherwise
 	closed   atomic.Bool // atomic: the peer-cache server races remote requests against Close
 
 	prefetchState // cross-epoch lookahead (Config.CrossEpochPrefetch)
@@ -267,6 +270,7 @@ func open(addrs []string, ds *dataset.Dataset, cfg Config) (*FS, error) {
 		targets:  targets,
 		counters: counters,
 		pipe:     &metrics.Pipeline{},
+		landMin:  perSampleLanding,
 		world:    1,
 	}, nil
 }
@@ -446,7 +450,7 @@ func (fs *FS) ReadSample(idx int) ([]byte, error) {
 func (fs *FS) CacheHits() int64 { return fs.pipe.CacheHits.Load() }
 
 func (fs *FS) setV(idx int, v bool) {
-	_, ref, _, ok := fs.dir.Lookup(fs.ds.Samples[idx].Key())
+	_, ref, _, ok := fs.dir.Lookup(fs.keys[idx])
 	if ok {
 		fs.dir.SetV(ref, v)
 	}
@@ -517,11 +521,11 @@ type unit struct {
 	chunks  []*hugepage.Chunk
 	next    int
 
-	// assembled holds per-sample pool buffers (parallel to samples)
-	// when the unit was fetched through server assembly: the target
-	// extracted each record, so there are no chunks to copy from and
-	// NextBatch hands the buffers out directly. Entries are nil'ed as
-	// they are emitted; ownership of the remainder stays with the unit.
+	// assembled holds per-sample pool buffers (parallel to samples) when
+	// each record landed on its own: a large-sample unit (perSample), or
+	// one the target assembled or a peer served. There are no chunks to
+	// copy from and NextBatch hands the buffers out directly. Entries are
+	// nil'ed as they are emitted; the unit owns the remainder.
 	assembled [][]byte
 
 	// raw holds the unit's byte range in one pool buffer: where a
@@ -531,6 +535,24 @@ type unit struct {
 
 // chunkCount returns how many cache chunks the unit spans.
 func (u *unit) chunkCount(cs int) int { return (int(u.length) + cs - 1) / cs }
+
+// perSampleLanding is the mean sample size from which a unit's wire read
+// scatters each sample into the pool buffer NextBatch hands out: a
+// segment per sample costs less than a memcpy pass from 32 KiB up
+// (BenchmarkLandingSweep, DESIGN.md §9). FS.landMin holds it.
+const perSampleLanding = 32 << 10
+
+func (fs *FS) perSample(u *unit) bool {
+	return int64(u.length) >= fs.landMin*int64(len(u.samples))
+}
+
+// slots cuts u.assembled, a slot per sample, off a group's slab and
+// returns the rest.
+func (u *unit) slots(slab [][]byte) [][]byte {
+	n := len(u.samples)
+	u.assembled = slab[:n:n]
+	return slab[n:]
+}
 
 // fetchGroup is a set of same-target units coalesced into one wire read.
 type fetchGroup struct {
@@ -896,15 +918,17 @@ func (fs *FS) landed(units []*unit, park bool, cmds, segs int, bytes int64) {
 }
 
 // fetchWire is the one wire routine: it reads a same-target group of
-// units, and park says where their bytes land. An epoch (park false)
-// lands them in arena chunks, one segment per chunk pointing into
-// huge-page memory, so the response payload arrives there with no
-// intermediate copy; a lookahead round (park true) lands each unit in
-// one pool buffer, u.raw, which its caller parks in the store. Prep
-// builds the scatter list, post puts one vectored command on the
-// target's next queue pair (or one command per segment in NoCoalesce
-// mode), poll waits. The target's breaker gates the fetch; on failure
-// the units hold nothing.
+// units, and each unit's sample sizes say where its bytes land. A unit of
+// large samples (perSample) takes a segment per sample, straight into the
+// pool buffers NextBatch hands out, which a lookahead round parks as they
+// are. A unit of small samples lands whole: for an epoch (park false) in
+// arena chunks, a segment per chunk pointing into huge-page memory, for
+// NextBatch to copy from; for a lookahead round (park true) in one pool
+// buffer, u.raw, which its caller parks in the store. One command may
+// carry both kinds. Prep builds the scatter list, post puts one vectored
+// command on the target's next queue pair (or one command per segment in
+// NoCoalesce mode), poll waits. The target's breaker gates the fetch; on
+// failure the units hold nothing.
 func (fs *FS) fetchWire(units []*unit, park bool) error {
 	tg := fs.targets[units[0].node]
 	if !tg.brk.Allow() {
@@ -923,31 +947,40 @@ func (fs *FS) fetchWire(units []*unit, park bool) error {
 		fs.pipe.OffloadDowngrades.Add(1)
 	}
 	prep := time.Now()
-	var segs []nvmetcp.Seg
+	cs := fs.cfg.ChunkSize
+	nchunks, nsamples := 0, 0
+	for _, u := range units {
+		if fs.perSample(u) {
+			nsamples += len(u.samples)
+		} else if !park {
+			nchunks += u.chunkCount(cs)
+		}
+	}
+	all := fs.arena.AllocN(nchunks)
+	slab := make([][]byte, nsamples)
+	segs := make([]nvmetcp.Seg, 0, nchunks+nsamples+len(units))
 	var bytes int64
-	if park {
-		segs = make([]nvmetcp.Seg, len(units))
-		for i, u := range units {
+	for _, u := range units {
+		switch {
+		case fs.perSample(u):
+			slab = u.slots(slab)
+			for si, pl := range u.samples {
+				u.assembled[si] = fs.alloc(int(pl.Len))
+				segs = append(segs, nvmetcp.Seg{Dst: u.assembled[si], Off: pl.Offset})
+			}
+		case park:
 			u.raw = fs.alloc(int(u.length))
-			segs[i] = nvmetcp.Seg{Dst: u.raw, Off: u.offset}
-			bytes += int64(u.length)
-		}
-	} else {
-		cs := fs.cfg.ChunkSize
-		total := 0
-		for _, u := range units {
-			total += u.chunkCount(cs)
-		}
-		all := fs.arena.AllocN(total)
-		segs = make([]nvmetcp.Seg, 0, total)
-		for _, u := range units {
+			segs = append(segs, nvmetcp.Seg{Dst: u.raw, Off: u.offset})
+		default:
 			nc := u.chunkCount(cs)
 			u.chunks, all = all[:nc:nc], all[nc:]
 			for ci, c := range u.chunks {
 				segLen := min(cs, int(u.length)-ci*cs)
 				segs = append(segs, nvmetcp.Seg{Dst: c.Bytes()[:segLen], Off: u.offset + int64(ci*cs)})
 			}
-			bytes += int64(u.length)
+		}
+		bytes += int64(u.length)
+		if !park {
 			fs.cfg.Trace.Record(trace.KindPost, u.seq, u.node, int(u.length))
 		}
 	}
@@ -1003,11 +1036,7 @@ func (fs *FS) postSamples(tg *target, xform byte, segs []nvmetcp.SampleSeg) ([]*
 	}
 	pendings := make([]*nvmetcp.RePending, 0, (len(segs)+per-1)/per)
 	for lo := 0; lo < len(segs); lo += per {
-		hi := lo + per
-		if hi > len(segs) {
-			hi = len(segs)
-		}
-		pd, err := tg.qp.ReadSamplesAsync(xform, segs[lo:hi], nil)
+		pd, err := tg.qp.ReadSamplesAsync(xform, segs[lo:min(lo+per, len(segs))], nil)
 		if err != nil {
 			return pendings, err
 		}
@@ -1054,9 +1083,10 @@ func (fs *FS) fetchAssembled(tg *target, units []*unit, park bool) error {
 		nsamples += len(u.samples)
 	}
 	segs := make([]nvmetcp.SampleSeg, 0, nsamples)
+	slab := make([][]byte, nsamples)
 	var bytes int64
 	for _, u := range units {
-		u.assembled = make([][]byte, len(u.samples))
+		slab = u.slots(slab)
 		for si, pl := range u.samples {
 			buf := fs.alloc(nvmetcp.TransformOutLen(xform, int(pl.Len)))
 			u.assembled[si] = buf
@@ -1162,18 +1192,18 @@ func (ep *Epoch) NextBatch() ([]Item, bool, error) {
 		idx := u.next
 		pl := u.samples[idx]
 		u.next++
-		cstart := time.Now()
 		var buf []byte
 		if u.assembled != nil {
-			// Server-assembled unit: the target already extracted the
-			// record into a pool buffer — hand it out, no copy stage.
+			// The record landed in a pool buffer of its own — hand it
+			// out: no copy stage, and no clock read to time one.
 			buf = u.assembled[idx]
 			u.assembled[idx] = nil
 		} else {
+			cstart := time.Now()
 			buf = ep.fs.alloc(int(pl.Len))
 			copyFromChunks(u, pl, buf, ep.fs.cfg.ChunkSize)
+			ep.fs.pipe.ObserveCopy(time.Since(cstart))
 		}
-		ep.fs.pipe.ObserveCopy(time.Since(cstart))
 		ep.fs.cfg.Trace.Record(trace.KindEmit, u.seq, u.node, int(pl.Len))
 		items = append(items, Item{Index: pl.Sample, Data: buf})
 		ep.emitted++

@@ -21,16 +21,18 @@ import (
 // the training step leaves before the next Sequence, with coalesced
 // reads for next-epoch units, parking the payloads in a bounded
 // lookahead store. When the next epoch's fetchGroup finds its unit in
-// the store it copies straight into cache chunks and skips the wire — a
-// warm epoch opens with near-zero poll time.
+// the store it skips the wire — a warm epoch opens with near-zero poll
+// time — and takes the parked buffers over (a unit parked per sample) or
+// copies the parked range into cache chunks (a unit of small samples).
 //
 // A round runs on the epoch's own engine (FS.pump: the lookahead
 // coalescer feeding Prefetchers workers that call fetchWire); only the
-// landing differs, pool buffers parked in the store instead of arena
-// chunks. The store is bounded by Config.PrefetchBudgetBytes and
-// best-effort throughout: the round is cut, before anything is
-// dispatched, to the prefix of the predicted order that fits the budget,
-// so its concurrent workers can never evict what it just fetched; a down
+// landing of small-sample units differs, a pool buffer parked in the
+// store instead of arena chunks. The store is bounded by
+// Config.PrefetchBudgetBytes and best-effort throughout: the round is
+// cut, before anything is dispatched, to the prefix of the predicted
+// order that fits the budget, so its concurrent workers can never evict
+// what it just fetched; a down
 // target skips that node's units via the same circuit breaker the demand
 // path uses, and a consumer running a different seed than predicted
 // simply misses and pays the wire as before. Entries are consumed at
@@ -50,9 +52,9 @@ type unitKey struct {
 func (u *unit) key() unitKey { return unitKey{node: u.node, offset: u.offset, length: u.length} }
 
 // pfEntry is one parked unit payload. Exactly one form is set: data
-// holds the unit's raw byte range (chunk-path prefetch), samples holds
-// per-record pool buffers parallel to the unit's sample list
-// (server-assembled or peer-served prefetch).
+// holds the unit's raw byte range (a unit of small samples), samples
+// holds per-record pool buffers parallel to the unit's sample list
+// (large-sample, server-assembled or peer-served prefetch).
 type pfEntry struct {
 	data    []byte
 	samples [][]byte
@@ -316,8 +318,9 @@ func (fs *FS) prefetchFromPeers(group []*unit) []*unit {
 // serveFromStore satisfies as many of g's units as the lookahead store
 // holds. A raw-range hit copies straight from the stored payload into
 // freshly allocated cache chunks (prep-stage work, no wire); a
-// per-sample hit (server-assembled or peer-served prefetch) hands the
-// record buffers to the unit directly — no chunks, no copy stage.
+// per-sample hit (large-sample, server-assembled or peer-served
+// prefetch) hands the record buffers to the unit directly — no chunks,
+// no copy stage.
 // Returns the units that missed and must be fetched. Called by
 // fetchGroup.
 func (ep *Epoch) serveFromStore(g *fetchGroup) []*unit {
@@ -347,11 +350,7 @@ func (ep *Epoch) serveFromStore(g *fetchGroup) []*unit {
 			nc := u.chunkCount(cs)
 			u.chunks = fs.arena.AllocN(nc)
 			for ci := 0; ci < nc; ci++ {
-				end := (ci + 1) * cs
-				if end > int(u.length) {
-					end = int(u.length)
-				}
-				copy(u.chunks[ci].Bytes(), e.data[ci*cs:end])
+				copy(u.chunks[ci].Bytes(), e.data[ci*cs:min((ci+1)*cs, int(u.length))])
 			}
 			fs.Recycle(e.data)
 		}

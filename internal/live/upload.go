@@ -200,10 +200,11 @@ func (tg *target) flush() (bool, error) {
 // their home node in index order, so node n's shard is the one
 // contiguous byte range [0, shardLen[n]) and index order is offset
 // order on every node. Every rank of a cluster mount computes the same
-// placement. The keys are returned for the indexing pass.
-func (fs *FS) place() ([]uint64, error) {
+// placement. The keys stay in fs.keys: the indexing pass, the cluster
+// mount's cross-check and every V-bit update look entries up by them.
+func (fs *FS) place() error {
 	n, ds := len(fs.targets), fs.ds
-	keys := make([]uint64, ds.Len())
+	fs.keys = make([]uint64, ds.Len())
 	fs.shardLen = make([]int64, n)
 	fs.placed = make([]plan.Placed, ds.Len())
 	fs.nodeOf = make([]uint16, ds.Len())
@@ -211,17 +212,17 @@ func (fs *FS) place() ([]uint64, error) {
 	for i := range ds.Samples {
 		key := ds.Samples[i].Key()
 		if _, dup := fs.keyIdx[key]; dup {
-			return nil, fmt.Errorf("live: key collision on sample %d", i)
+			return fmt.Errorf("live: key collision on sample %d", i)
 		}
 		fs.keyIdx[key] = i
 		nid := directory.HomeNode(key, n)
 		size := ds.Samples[i].Size
-		keys[i] = key
+		fs.keys[i] = key
 		fs.placed[i] = plan.Placed{Sample: i, Offset: fs.shardLen[nid], Len: int32(size)}
 		fs.nodeOf[i] = nid
 		fs.shardLen[nid] += int64(size)
 	}
-	return keys, nil
+	return nil
 }
 
 // load is the data half of dlfs_mount: place the dataset, then stream
@@ -230,7 +231,7 @@ func (fs *FS) place() ([]uint64, error) {
 // directory partitions beside the uploads. Partitions of nodes the
 // mount does not own stay nil.
 func (fs *FS) load(own int) ([]*directory.Partition, error) {
-	keys, err := fs.place()
+	err := fs.place()
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +259,7 @@ func (fs *FS) load(own int) ([]*directory.Partition, error) {
 			continue
 		}
 		var e sample.Entry
-		if e, err = sample.NewEntry(nid, keys[i], pl.Offset, pl.Len); err == nil {
+		if e, err = sample.NewEntry(nid, fs.keys[i], pl.Offset, pl.Len); err == nil {
 			err = parts[nid].Add(e)
 		}
 	}

@@ -265,8 +265,25 @@ func TestTargetServesReadsZeroCopy(t *testing.T) {
 		t.Fatal("zero-copy vec read corrupt")
 	}
 
+	// crc32c sample reads are served from the same views: the records
+	// are never copied, only their trailers are computed.
+	smp := []SampleSeg{
+		{Dst: make([]byte, 3000+4), Off: 50, N: 3000},
+		{Dst: make([]byte, 70000+4), Off: 100 << 10, N: 70000},
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := in.ReadSamples(TransformCRC32C, smp, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, sg := range smp {
+			if body, ok := VerifyCRC32C(sg.Dst); !ok || !bytes.Equal(body, data[sg.Off:sg.Off+int64(sg.N)]) {
+				t.Fatalf("zero-copy crc32c sample at %d corrupt", sg.Off)
+			}
+		}
+	}
+
 	st := tgt.ServerStats()
-	wantBytes := int64(16*4096 + 1000 + 9000)
+	wantBytes := int64(16*4096 + 1000 + 9000 + 4*(3000+70000))
 	if st.StagedBytes != 0 {
 		t.Fatalf("read hot path staged %d bytes, want 0", st.StagedBytes)
 	}
@@ -314,7 +331,7 @@ func TestTargetStagedModeMatches(t *testing.T) {
 // directly: a completion whose view was captured before an overwrite
 // must be re-staged into a consistent copy of the *current* contents.
 func TestRestageAfterWriteEpochChange(t *testing.T) {
-	store := blockdev.New(1 << 20)
+	store := blockdev.New(2 << 20)
 	if _, err := store.WriteAt(bytes.Repeat([]byte{0xAA}, 4096), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -342,6 +359,72 @@ func TestRestageAfterWriteEpochChange(t *testing.T) {
 	}
 	if tgt.ServerStats().Restaged != 1 {
 		t.Fatalf("restaged counter = %d", tgt.ServerStats().Restaged)
+	}
+
+	// A crc32c sample completion: its trailers were computed over the
+	// old bodies, so re-staging must rebuild records and trailers alike
+	// from the current contents. The second record crosses an extent
+	// boundary to cover a multi-piece view.
+	if _, err := store.WriteAt(bytes.Repeat([]byte{0xCC}, 8192), extentBoundary-4096); err != nil {
+		t.Fatal(err)
+	}
+	segs := []vecSeg{{off: 100, n: 1000}, {off: extentBoundary - 3000, n: 5000}}
+	req := make([]byte, sampleHdrSize+len(segs)*sampleDescSize)
+	encodeSampleList(req, TransformCRC32C, segs)
+	comp = tgt.execute(&capsule{opcode: opReadSamples, payload: req}, true)
+	if comp.view == nil || comp.aux == nil || tgt.ServerStats().StagedBytes != 0 {
+		t.Fatal("crc32c sample read was not served from views")
+	}
+	wantN := 4*len(segs) + 1000 + 5000 + 4*len(segs)
+	var flat []byte
+	for _, v := range comp.view {
+		flat = append(flat, v...)
+	}
+	checkSampleResponse(t, "viewed", flat, wantN, segs, []byte{0xBB, 0xCC})
+	if _, err := store.WriteAt(bytes.Repeat([]byte{0xDD}, 8192), extentBoundary-4096); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.WriteAt(bytes.Repeat([]byte{0xEE}, 4096), 0); err != nil {
+		t.Fatal(err)
+	}
+	tgt.restage(&comp)
+	if comp.view != nil {
+		t.Fatal("restage left the crc32c view in place")
+	}
+	checkSampleResponse(t, "restaged", comp.staged, wantN, segs, []byte{0xEE, 0xDD})
+	if tgt.ServerStats().Restaged != 2 {
+		t.Fatalf("restaged counter = %d", tgt.ServerStats().Restaged)
+	}
+	recycleCompletion(&comp)
+}
+
+// extentBoundary is where the store's first extent ends (blockdev
+// allocates in 1 MiB extents), for records that must straddle two.
+const extentBoundary = 1 << 20
+
+// checkSampleResponse parses an opReadSamples crc32c response payload —
+// length block, then each record followed by its trailer — and checks
+// that record i is segs[i].n bytes of fill[i] and that its trailer
+// verifies.
+func checkSampleResponse(t *testing.T, what string, resp []byte, wantN int, segs []vecSeg, fill []byte) {
+	t.Helper()
+	if len(resp) != wantN {
+		t.Fatalf("%s response is %d bytes, want %d", what, len(resp), wantN)
+	}
+	pos := 4 * len(segs)
+	for i, s := range segs {
+		outn := int(binary.LittleEndian.Uint32(resp[4*i:]))
+		if outn != int(s.n)+4 {
+			t.Fatalf("%s record %d: length block says %d, want %d", what, i, outn, s.n+4)
+		}
+		body, ok := VerifyCRC32C(resp[pos : pos+outn])
+		if !ok {
+			t.Fatalf("%s record %d: trailer does not verify", what, i)
+		}
+		if !bytes.Equal(body, bytes.Repeat(fill[i:i+1], int(s.n))) {
+			t.Fatalf("%s record %d: body is not all %#x", what, i, fill[i])
+		}
+		pos += outn
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"log"
 	"net"
@@ -190,7 +191,8 @@ type completion struct {
 	hdr    []byte
 	view   [][]byte // segments aliasing store memory (reads, zero-copy)
 	staged []byte   // pooled copy (writes staged mode / view fallback)
-	aux    []byte   // pooled length block leading view (opReadSamples)
+	aux    []byte   // pooled length block leading view, then the records' trailers (opReadSamples)
+	xform  byte     // transform the view was assembled under (opReadSamples)
 	epoch  uint64   // store write epoch when view was captured
 	off    uint64   // request offset, for view re-staging
 	vsegs  []vecSeg // vectored request segments, for view re-staging
@@ -761,23 +763,81 @@ func (t *Target) readSegs(p []byte, segs []vecSeg) error {
 // restage replaces a completion's zero-copy view with a pooled copy read
 // under one store lock hold, guaranteeing an untorn payload after a
 // write epoch change. Offsets were validated when the view was built,
-// so the locked re-read cannot fail.
+// so the locked re-read cannot fail. A sample-mode view is assembled
+// again from scratch, so its length block, records and trailers are one
+// generation.
 func (t *Target) restage(c *completion) {
-	buf := bufpool.Shared.Get(c.n)
-	if c.vsegs != nil {
-		pos := 0
-		// Sample-mode views lead with a pooled length block; it carries
-		// request-derived sizes, not store bytes, so it copies verbatim.
-		if c.aux != nil {
-			pos = copy(buf, c.aux)
-		}
-		t.readSegs(buf[pos:c.n], c.vsegs) //nolint:errcheck
-	} else {
-		t.store.ReadAt(buf, int64(c.off)) //nolint:errcheck
+	switch {
+	case c.aux != nil:
+		c.staged, _, _ = t.assembleStaged(c.xform, c.vsegs)
+	case c.vsegs != nil:
+		c.staged = bufpool.Shared.Get(c.n)
+		t.readSegs(c.staged, c.vsegs) //nolint:errcheck
+	default:
+		c.staged = bufpool.Shared.Get(c.n)
+		t.store.ReadAt(c.staged, int64(c.off)) //nolint:errcheck
 	}
 	c.view = nil
-	c.staged = buf
 	t.srv.Restaged.Add(1)
+}
+
+// assembleViews builds an opReadSamples response of total record bytes
+// from seqlock extent views. The only copied bytes are one pooled aux
+// block: the length block and, under TransformCRC32C, each record's
+// trailer; the scatter list is lenblock, view(rec0)..., trailer0,
+// view(rec1)..., trailer1, ... The checksum reads store memory outside
+// the lock, so it follows the flusher's protocol (DESIGN.md §10): pin, so
+// writers from here on go copy-on-write; an odd epoch is a write in
+// flight; an epoch that moved while the views were taken may mean two
+// generations. It returns false then, and for a response it cannot
+// build at all, and the caller assembles staged (which also names the
+// error). After the unpin the flusher's own pin-and-check takes over.
+func (t *Target) assembleViews(comp *completion, xform byte, segs []vecSeg, total int) bool {
+	lb, tr := 4*len(segs), 0
+	if xform == TransformCRC32C {
+		tr = 4
+		t.store.PinViews()
+		defer t.store.UnpinViews()
+	}
+	n := lb + total + tr*len(segs)
+	epoch := t.store.WriteEpoch()
+	if n > maxPayload || tr > 0 && epoch&1 == 1 {
+		return false
+	}
+	aux := bufpool.Shared.Get(lb + tr*len(segs))
+	view := append(make([][]byte, 0, 1+2*len(segs)), aux[:lb])
+	for i, s := range segs {
+		binary.LittleEndian.PutUint32(aux[4*i:], s.n+uint32(tr))
+		var err error
+		if view, _, err = t.store.View(int64(s.off), int(s.n), view); err != nil {
+			bufpool.Shared.Put(aux)
+			return false
+		}
+		if tr > 0 {
+			view = append(view, aux[lb+tr*i:][:tr])
+		}
+	}
+	if tr > 0 {
+		if t.store.WriteEpoch() != epoch {
+			bufpool.Shared.Put(aux)
+			return false
+		}
+		start := time.Now()
+		vi := 1
+		for _, s := range segs {
+			var crc uint32
+			for rem := int(s.n); rem > 0; vi++ {
+				crc = crc32.Update(crc, crc32cTable, view[vi])
+				rem -= len(view[vi])
+			}
+			binary.LittleEndian.PutUint32(view[vi], crc)
+			vi++
+		}
+		t.srv.ObserveTransform(time.Since(start))
+	}
+	comp.view, comp.epoch, comp.vsegs, comp.aux, comp.xform, comp.n = view, epoch, segs, aux, xform, n
+	t.srv.ZeroCopyBytes.Add(int64(total))
+	return true
 }
 
 // assembleStaged builds an opReadSamples response — length block plus
@@ -978,28 +1038,8 @@ func (t *Target) execute(req *capsule, zeroCopy bool) completion {
 			break
 		}
 		count := len(segs)
-		lb := 4 * count
-		if xform == TransformNone && zeroCopy {
-			// Assemble straight from seqlock extent views: the length
-			// block is the only copied byte in the whole response.
-			aux := bufpool.Shared.Get(lb)
-			epoch := t.store.WriteEpoch()
-			view := [][]byte{aux}
-			for i, s := range segs {
-				binary.LittleEndian.PutUint32(aux[4*i:], s.n)
-				if view, _, err = t.store.View(int64(s.off), int(s.n), view); err != nil {
-					status = statusRange
-					break
-				}
-			}
-			if status != statusOK {
-				bufpool.Shared.Put(aux)
-				break
-			}
-			comp.view, comp.epoch, comp.vsegs, comp.aux = view, epoch, segs, aux
-			comp.n = lb + total
-			t.srv.ZeroCopyBytes.Add(int64(total))
-		} else {
+		viewable := zeroCopy && (xform == TransformNone || xform == TransformCRC32C)
+		if !viewable || !t.assembleViews(&comp, xform, segs, total) {
 			out, n, st := t.assembleStaged(xform, segs)
 			if st != statusOK {
 				status = st
@@ -1011,7 +1051,7 @@ func (t *Target) execute(req *capsule, zeroCopy bool) completion {
 		}
 		t.srv.SampleCmds.Add(1)
 		t.srv.AssembledSamples.Add(int64(count))
-		t.srv.AssembledBytes.Add(int64(comp.n - lb))
+		t.srv.AssembledBytes.Add(int64(comp.n - 4*count))
 		t.bytes.Add(int64(comp.n))
 	case opWrite:
 		start := time.Now()

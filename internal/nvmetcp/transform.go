@@ -13,12 +13,14 @@ import (
 // runs between extent extraction and flush, so clients receive
 // training-ready bytes and the NIC carries less. IDs are wire-stable.
 //
-//   - TransformNone: the stored record as-is. The only transform served
-//     from zero-copy extent views; the others read through the store's
-//     seqlock so their staged output is torn-write free by construction.
+//   - TransformNone: the stored record as-is, served from zero-copy
+//     extent views.
 //   - TransformCRC32C: record + 4-byte Castagnoli CRC trailer, giving
 //     end-to-end integrity over wire and assembly. Verify client-side
-//     with VerifyCRC32C.
+//     with VerifyCRC32C. Served from the same views (the body is never
+//     copied, only checksummed; Target.assembleViews). The transforms
+//     below rewrite the body, so they read the records under the store
+//     lock into a staged copy, torn-write free by construction.
 //   - TransformFlate: the stored record is DEFLATE-compressed; the
 //     target decompresses so only the client-ready expansion crosses
 //     the RPQ/SCQ engine once, not the client CPU. Output size is

@@ -18,6 +18,10 @@ import (
 // through the zero-copy vectored read path. The server applies the
 // stripe under one epoch bump and the flusher pins/restages views, so
 // every read must observe a single generation across both extents.
+// Beside it, crc32c sample readers on connections of their own have the
+// worker checksum those views outside the store lock: every record's
+// trailer must verify against the body it arrived with, and a stripe is
+// still one generation.
 func TestRaceGatheredWriteVsVecReads(t *testing.T) {
 	_, addr := startTarget(t, 32<<20, 32)
 	wr, err := Connect(addr)
@@ -65,6 +69,40 @@ func TestRaceGatheredWriteVsVecReads(t *testing.T) {
 			}
 		}
 	}()
+
+	for r := 0; r < 2; r++ {
+		sr, err := Connect(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sr.Close() //nolint:errcheck
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			segs := []SampleSeg{
+				{Dst: make([]byte, segLen+4), Off: offs[0], N: segLen},
+				{Dst: make([]byte, segLen+4), Off: offs[1], N: segLen},
+			}
+			for iter := 0; iter < 300; iter++ {
+				if _, err := sr.ReadSamples(TransformCRC32C, segs, nil); err != nil {
+					t.Error(err)
+					return
+				}
+				first := segs[0].Dst[0]
+				for ri, sg := range segs {
+					body, ok := VerifyCRC32C(sg.Dst)
+					if !ok {
+						t.Errorf("record %d: trailer does not verify (iter %d)", ri, iter)
+						return
+					}
+					if !bytes.Equal(body, bytes.Repeat([]byte{first}, segLen)) {
+						t.Errorf("torn crc32c stripe: record %d is not all generation %d (iter %d)", ri, first, iter)
+						return
+					}
+				}
+			}
+		}()
+	}
 
 	got := make([]byte, 2*segLen)
 	for iter := 0; iter < 400; iter++ {

@@ -8,24 +8,13 @@
 //	dlfsbench -fig 6           # one figure
 //	dlfsbench -fig 7a -scale 0.25
 //	dlfsbench -fig ablation    # design-choice ablations
-//	dlfsbench -live -json BENCH_7.json
-//	                           # live TCP epoch bench: throughput
-//	                           # trajectory, stage quantiles, and
-//	                           # cold-vs-warm prefetch poll p50 as JSON
-//	dlfsbench -peers -json BENCH_PEERS.json
-//	                           # multi-rank cooperative peer cache bench:
-//	                           # per-rank origin wire bytes with the
-//	                           # cache off vs on
 //	dlfsbench -tenants -json BENCH_TENANTS.json
 //	                           # multi-tenant isolation bench: a paced
 //	                           # victim's queue-wait p99 solo vs under a
 //	                           # greedy quota-capped co-tenant; fails if
 //	                           # contention inflates it past the bound
-//	dlfsbench -checkpoint -json BENCH_CKPT.json
-//	                           # checkpoint-ingest bench: sharded saves
-//	                           # through the gathered-write pipeline vs
-//	                           # the read-path baseline; fails below the
-//	                           # ratio floor or on read-back divergence
+//
+// The live path's own benchmark is the bench/ module (bash bench/run.sh).
 package main
 
 import (
@@ -75,52 +64,16 @@ func main() {
 	figFlag := flag.String("fig", "all", "figure to run: 1,6,7a,7b,8,9,10,11,12,13, ablation, or all")
 	scale := flag.Float64("scale", 1.0, "measurement volume scale (smaller = faster, noisier)")
 	list := flag.Bool("list", false, "list available figures and exit")
-	liveBench := flag.Bool("live", false, "run the live TCP epoch bench instead of the figures")
-	peerBench := flag.Bool("peers", false, "run the multi-rank peer-cache wire bench instead of the figures")
 	tenantBench := flag.Bool("tenants", false, "run the multi-tenant isolation bench instead of the figures")
-	ckptBench := flag.Bool("checkpoint", false, "run the checkpoint-ingest write-path bench instead of the figures")
-	jsonOut := flag.String("json", "", "bench JSON report path (- for stdout; default BENCH_7.json / BENCH_PEERS.json / BENCH_TENANTS.json / BENCH_CKPT.json)")
+	jsonOut := flag.String("json", "", "-tenants JSON report path (- for stdout; default BENCH_TENANTS.json)")
 	flag.Parse()
 
-	if *liveBench {
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_7.json"
-		}
-		if err := runLiveBench(out, *scale); err != nil {
-			fmt.Fprintln(os.Stderr, "dlfsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *peerBench {
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_PEERS.json"
-		}
-		if err := runPeerBench(out, *scale); err != nil {
-			fmt.Fprintln(os.Stderr, "dlfsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *tenantBench {
 		out := *jsonOut
 		if out == "" {
 			out = "BENCH_TENANTS.json"
 		}
 		if err := runTenantBench(out, *scale); err != nil {
-			fmt.Fprintln(os.Stderr, "dlfsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ckptBench {
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_CKPT.json"
-		}
-		if err := runCkptBench(out, *scale); err != nil {
 			fmt.Fprintln(os.Stderr, "dlfsbench:", err)
 			os.Exit(1)
 		}

@@ -9,6 +9,7 @@
 //	                                       # N ranks over a TCP coordinator + targets
 //	dlfsctl cluster -rank 1 -world 3 -coord host:4430 -targets a:4420,b:4420,c:4420
 //	                                       # one rank of a real multi-process job
+//	                                       # (-coord a:4430,b:4430,c:4430 for a replica set)
 //	dlfsctl lookup -nodes 4 -n 100000 -name <sample>  # decode one directory entry
 //	dlfsctl trace -nodes 2 -n 2000 -out trace.json    # record a pipeline trace
 //	                                                  # (open in chrome://tracing)
@@ -128,8 +129,6 @@ func cmdSmoke(args []string) {
 	n := fs.Int("n", 500, "samples")
 	size := fs.Int("size", 4096, "sample size")
 	qps := fs.Int("qps", 0, "queue pairs per target (0 takes the default)")
-	nocoalesce := fs.Bool("no-coalesce", false, "disable request coalescing (one wire read per chunk)")
-	nopool := fs.Bool("no-pool", false, "disable the sample buffer pool")
 	serverAssembly := fs.Bool("server-assembly", false, "offload sample extraction to the targets (opReadSamples)")
 	tenant := fs.Int("tenant", 0, "tenant id stamped on every command (0 = legacy tenant)")
 	assemblyXform := fs.Int("assembly-transform", 0, "server-side transform ID (0 none, 1 crc32c-verify, 3 stride-subsample)")
@@ -179,7 +178,7 @@ func cmdSmoke(args []string) {
 	}
 	ds := dataset.Generate(dataset.Config{Label: "smoke", Seed: 2, NumSamples: *n, Dist: dataset.Fixed(*size)})
 	cfg := live.Config{
-		QueuePairs: *qps, NoCoalesce: *nocoalesce, NoBufferPool: *nopool, StageHistograms: true,
+		QueuePairs: *qps, StageHistograms: true,
 		ServerAssembly: *serverAssembly, AssemblyTransform: *assemblyXform, Tenant: *tenant,
 	}
 	if *dead >= 0 {
@@ -311,24 +310,22 @@ func cmdSmoke(args []string) {
 }
 
 // cmdCluster exercises the multi-node live mount. With -ranks N it runs
-// a whole job in-process: N TCP targets, a TCP coordinator, and N ranks
-// mounting concurrently, then one sliced epoch whose union is verified
-// exactly-once by checksum; add -replicas 3 to put a Raft-backed
-// coordinator replica set under the job and print the elected leader,
-// term, and placement epoch in the summary. With
+// a whole job in-process: N TCP targets, a coordinator replica set
+// (-replicas, default one) and N ranks mounting concurrently, then one
+// sliced epoch whose union is verified exactly-once by checksum; the
+// summary prints the elected leader, term, and placement epoch. With
 // -rank/-world/-coord/-targets it runs a single rank of a real
 // multi-process job (start targets with dlfsd, host the coordinator with
-// dlfsd -coord or -host-coord here on rank 0; -coord-peers joins a
-// dlfsd -coord-peers replica set instead).
+// dlfsd -coord or -host-coord here on rank 0; -coord lists every replica
+// of a dlfsd -coord-peers set).
 func cmdCluster(args []string) {
 	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
 	ranks := fs.Int("ranks", 0, "in-process mode: run this many ranks locally (0 = distributed mode)")
-	replicas := fs.Int("replicas", 0, "host this many Raft coordinator replicas instead of one classic coordinator (in-process mode)")
+	replicas := fs.Int("replicas", 1, "in-process mode: coordinator replicas to host")
 	rank := fs.Int("rank", 0, "distributed mode: this process's rank")
 	world := fs.Int("world", 0, "distributed mode: job size")
-	coordAddr := fs.String("coord", "", "distributed mode: coordinator address")
-	coordPeers := fs.String("coord-peers", "", "distributed mode: comma-separated coordinator replica addresses (replaces -coord)")
-	hostCoord := fs.Bool("host-coord", false, "distributed mode: host the coordinator at -coord (usually on rank 0)")
+	coordAddrs := fs.String("coord", "", "distributed mode: comma-separated coordinator replica addresses (one for a single coordinator)")
+	hostCoord := fs.Bool("host-coord", false, "distributed mode: host a single coordinator at -coord (usually on rank 0)")
 	targetList := fs.String("targets", "", "distributed mode: comma-separated target addresses, one per rank")
 	n := fs.Int("n", 600, "samples")
 	size := fs.Int("size", 4096, "sample size")
@@ -342,25 +339,22 @@ func cmdCluster(args []string) {
 		runClusterInProcess(*ranks, *replicas, ds, *seed, cfg)
 		return
 	}
-	if (*coordAddr == "" && *coordPeers == "") || *world <= 0 || *targetList == "" {
-		fatal(errors.New("cluster: distributed mode needs -rank, -world, -coord (or -coord-peers) and -targets (or use -ranks for in-process)"))
+	if *coordAddrs == "" || *world <= 0 || *targetList == "" {
+		fatal(errors.New("cluster: distributed mode needs -rank, -world, -coord and -targets (or use -ranks for in-process)"))
 	}
 	addrs := strings.Split(*targetList, ",")
+	peers := strings.Split(*coordAddrs, ",")
 	if *hostCoord {
-		srv := coord.NewServer(*world, coord.ServerOptions{})
-		if _, err := srv.Listen(*coordAddr); err != nil {
+		if len(peers) != 1 {
+			fatal(errors.New("cluster: -host-coord hosts a single coordinator; give -coord one address"))
+		}
+		srv, err := coord.ListenReplicated(*world, peers[0], peers, coord.ReplicatedOptions{})
+		if err != nil {
 			fatal(err)
 		}
 		defer srv.Close() //nolint:errcheck
 	}
-	mount := func() (*live.FS, error) {
-		if *coordPeers != "" {
-			peers := strings.Split(*coordPeers, ",")
-			return live.MountClusterPeers(peers, *rank, *world, addrs, ds, cfg)
-		}
-		return live.MountCluster(*coordAddr, *rank, *world, addrs, ds, cfg)
-	}
-	if err := runClusterRank(mount, *rank, *world, ds, *seed, *peerCache); err != nil {
+	if err := runClusterRank(peers, *rank, *world, addrs, ds, *seed, cfg); err != nil {
 		fatal(err)
 	}
 }
@@ -391,11 +385,11 @@ func printPeerBreakdown(prefix string, pl metrics.PipelineSnapshot) {
 }
 
 // runClusterRank mounts one rank, consumes its epoch slice, verifies
-// checksums, and prints the rank's mount and pipeline stats. Against a
-// replicated coordinator it also prints the control-plane view.
-func runClusterRank(mount func() (*live.FS, error), rank, world int, ds *dataset.Dataset, seed int64, peerCache bool) error {
+// checksums, and prints the rank's mount and pipeline stats and the
+// control-plane view.
+func runClusterRank(peers []string, rank, world int, addrs []string, ds *dataset.Dataset, seed int64, cfg live.Config) error {
 	start := time.Now()
-	lfs, err := mount()
+	lfs, err := live.MountClusterPeers(peers, rank, world, addrs, ds, cfg)
 	if err != nil {
 		return err
 	}
@@ -420,18 +414,16 @@ func runClusterRank(mount func() (*live.FS, error), rank, world int, ds *dataset
 	}
 	fmt.Printf("rank %d/%d: epoch slice %d/%d samples in %.3fs, %d checksum failures\n",
 		rank, world, len(items), ds.Len(), time.Since(start).Seconds(), bad)
-	if peerCache {
+	if cfg.PeerCache {
 		fmt.Printf("rank %d/%d: peer cache at %s, full ReadSample pass...\n", rank, world, lfs.PeerAddr())
 		if err := readSamplePass(lfs, ds); err != nil {
 			return err
 		}
 		printPeerBreakdown(fmt.Sprintf("rank %d/%d", rank, world), lfs.Stats().Pipeline)
 	}
-	if cc, ok := lfs.Coordinator().(*coord.ClusterClient); ok {
-		if st, err := cc.Status(); err == nil {
-			fmt.Printf("rank %d/%d: control plane: leader %s, term %d, placement epoch %d, members %v\n",
-				rank, world, st.Leader, st.Term, st.Epoch, st.Members)
-		}
+	if st, err := lfs.Coordinator().Status(); err == nil {
+		fmt.Printf("rank %d/%d: control plane: leader %s, term %d, placement epoch %d, members %v\n",
+			rank, world, st.Leader, st.Term, st.Epoch, st.Members)
 	}
 	if bad > 0 {
 		return fmt.Errorf("rank %d: %d checksum failures", rank, bad)
@@ -439,11 +431,11 @@ func runClusterRank(mount func() (*live.FS, error), rank, world int, ds *dataset
 	return nil
 }
 
-// runClusterInProcess stands up targets + coordinator (a Raft replica
-// set when replicas > 0) and runs every rank as a goroutine — the
-// single-machine smoke of the multi-node path. With cfg.PeerCache on,
-// every rank follows the epoch with a full ReadSample pass so the
-// cooperative cache traffic shows up in the per-rank breakdown.
+// runClusterInProcess stands up targets + a coordinator replica set and
+// runs every rank as a goroutine — the single-machine smoke of the
+// multi-node path. With cfg.PeerCache on, every rank follows the epoch
+// with a full ReadSample pass so the cooperative cache traffic shows up
+// in the per-rank breakdown.
 func runClusterInProcess(world, replicas int, ds *dataset.Dataset, seed int64, cfg live.Config) {
 	addrs := make([]string, world)
 	for i := range addrs {
@@ -456,30 +448,16 @@ func runClusterInProcess(world, replicas int, ds *dataset.Dataset, seed int64, c
 		addrs[i] = addr
 		fmt.Printf("target %d: %s\n", i, addr)
 	}
-	var caddr string
-	var peers []string
-	if replicas > 0 {
-		srvs, set, err := coord.StartReplicaSet(replicas, world, coord.ReplicatedOptions{})
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			for _, s := range srvs {
-				s.Close() //nolint:errcheck
-			}
-		}()
-		peers = set
-		fmt.Printf("coordinator replicas: %v (world %d)\n", peers, world)
-	} else {
-		srv := coord.NewServer(world, coord.ServerOptions{})
-		var err error
-		caddr, err = srv.Listen("127.0.0.1:0")
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close() //nolint:errcheck
-		fmt.Printf("coordinator: %s (world %d)\n", caddr, world)
+	srvs, peers, err := coord.StartReplicaSet(replicas, world, coord.ReplicatedOptions{})
+	if err != nil {
+		fatal(err)
 	}
+	defer func() {
+		for _, s := range srvs {
+			s.Close() //nolint:errcheck
+		}
+	}()
+	fmt.Printf("coordinator replicas: %v (world %d)\n", peers, world)
 
 	type rankOut struct {
 		items []live.Item
@@ -499,13 +477,7 @@ func runClusterInProcess(world, replicas int, ds *dataset.Dataset, seed int64, c
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			var lfs *live.FS
-			var err error
-			if peers != nil {
-				lfs, err = live.MountClusterPeers(peers, r, world, addrs, ds, cfg)
-			} else {
-				lfs, err = live.MountCluster(caddr, r, world, addrs, ds, cfg)
-			}
+			lfs, err := live.MountClusterPeers(peers, r, world, addrs, ds, cfg)
 			if err != nil {
 				outs[r].err = err
 				readers.Done()
@@ -561,19 +533,17 @@ func runClusterInProcess(world, replicas int, ds *dataset.Dataset, seed int64, c
 	fmt.Printf("cluster: %d ranks, directory %#x on all, %d/%d samples exactly-once in %.3fs (%s), %d dups, %d checksum failures\n",
 		world, outs[0].fp, len(union), ds.Len(), elapsed.Seconds(),
 		metrics.HumanRate(float64(ds.Len())/elapsed.Seconds()), dups, bad)
-	if peers != nil {
-		printed := false
-		for _, p := range peers {
-			if st, err := coord.FetchStatus(p, 2*time.Second); err == nil {
-				fmt.Printf("control plane: leader %s, term %d, placement epoch %d, members %v\n",
-					st.Leader, st.Term, st.Epoch, st.Members)
-				printed = true
-				break
-			}
+	printed := false
+	for _, p := range peers {
+		if st, err := coord.FetchStatus(p, 2*time.Second); err == nil {
+			fmt.Printf("control plane: leader %s, term %d, placement epoch %d, members %v\n",
+				st.Leader, st.Term, st.Epoch, st.Members)
+			printed = true
+			break
 		}
-		if !printed {
-			fatal(errors.New("cluster: no coordinator replica answered a status probe"))
-		}
+	}
+	if !printed {
+		fatal(errors.New("cluster: no coordinator replica answered a status probe"))
 	}
 	if bad > 0 || dups > 0 || len(union) != ds.Len() {
 		os.Exit(1)

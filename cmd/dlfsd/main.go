@@ -14,13 +14,14 @@
 //	      -tenant-bps 268435456 -tenant-iops 20000
 //
 // For a multi-node job one storage node additionally hosts the mount
-// coordinator (the barrier/allgather control plane of live.MountCluster):
+// coordinator (the barrier/allgather control plane of
+// live.MountClusterPeers), a replica set of one:
 //
 //	dlfsd -listen 127.0.0.1:4420 -coord 127.0.0.1:4430 -coord-world 3
 //
 // For a fault-tolerant control plane run three such nodes, each hosting
-// one replica of a Raft-backed coordinator set; any replica can be
-// dialed, and the set survives the leader dying mid-job:
+// one replica of the Raft-backed set; any replica can be dialed, and the
+// set survives the leader dying mid-job:
 //
 //	dlfsd -listen 127.0.0.1:4420 -coord 127.0.0.1:4430 \
 //	      -coord-peers 127.0.0.1:4430,127.0.0.1:4431,127.0.0.1:4432 -coord-world 3
@@ -61,7 +62,6 @@ func main() {
 	depth := flag.Int("depth", 64, "per-connection queue depth")
 	workers := flag.Int("workers", 0, "RPQ worker pool size (0 takes the default)")
 	queue := flag.Int("queue", 0, "request-posting queue depth (0 takes the default)")
-	noZeroCopy := flag.Bool("no-zero-copy", false, "stage read payloads instead of serving store views")
 	maxTenants := flag.Int("max-tenants", 0, "tenant ids accepted, 0..n-1 (0 takes the default)")
 	tenantQueue := flag.Int("tenant-queue", 0, "per-tenant scheduler queue depth (0 takes the default, <0 unbounded)")
 	tenantBPS := flag.Int64("tenant-bps", 0, "per-tenant payload byte quota per second (<=0 disables)")
@@ -69,7 +69,7 @@ func main() {
 	stats := flag.Duration("stats", 10*time.Second, "stats print interval (0 disables)")
 	coordAddr := flag.String("coord", "", "also host the multi-node mount coordinator on this address")
 	coordWorld := flag.Int("coord-world", 0, "job size the coordinator waits for (required with -coord)")
-	coordPeers := flag.String("coord-peers", "", "comma-separated replica addresses of a replicated coordinator set; -coord names this replica's own entry")
+	coordPeers := flag.String("coord-peers", "", "comma-separated addresses of every coordinator replica, -coord's own included (default: -coord alone, a set of one)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz and /trace.json on this address (enables stage histograms)")
 	flag.Parse()
 
@@ -77,56 +77,20 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var coordSrv *coord.Server
-	var replSrv *coord.ReplicatedServer
+	var coordSrv *coord.ReplicatedServer
 	var raftMetrics *metrics.Consensus
 	if *coordPeers != "" && *coordAddr == "" {
 		fatal(fmt.Errorf("dlfsd: -coord-peers needs -coord naming this replica's own address"))
 	}
 	if *coordAddr != "" {
-		if *coordWorld <= 0 {
-			fatal(fmt.Errorf("dlfsd: -coord %s needs -coord-world > 0", *coordAddr))
+		coordSrv, raftMetrics, err = hostCoordinator(*coordAddr, *coordPeers, *coordWorld)
+		if err != nil {
+			fatal(err)
 		}
-		if *coordPeers != "" {
-			// Replicated control plane: this process is one replica of a
-			// Raft set; clients discover the leader through any of them.
-			peers := strings.Split(*coordPeers, ",")
-			for i := range peers {
-				peers[i] = strings.TrimSpace(peers[i])
-			}
-			self := false
-			for _, p := range peers {
-				if p == *coordAddr {
-					self = true
-					break
-				}
-			}
-			if !self {
-				fatal(fmt.Errorf("dlfsd: -coord %s is not in -coord-peers %s", *coordAddr, *coordPeers))
-			}
-			raftMetrics = &metrics.Consensus{}
-			var err error
-			replSrv, err = coord.ListenReplicated(*coordWorld, *coordAddr, peers, coord.ReplicatedOptions{
-				Metrics: raftMetrics,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			defer replSrv.Close() //nolint:errcheck
-			fmt.Printf("dlfsd: coordinator replica %s of set %v for a %d-rank job\n",
-				*coordAddr, peers, *coordWorld)
-		} else {
-			coordSrv = coord.NewServer(*coordWorld, coord.ServerOptions{})
-			caddr, err := coordSrv.Listen(*coordAddr)
-			if err != nil {
-				fatal(err)
-			}
-			defer coordSrv.Close() //nolint:errcheck
-			fmt.Printf("dlfsd: coordinating a %d-rank job on %s\n", *coordWorld, caddr)
-		}
+		defer coordSrv.Close() //nolint:errcheck
 	}
 	cfg := nvmetcp.Config{
-		Depth: *depth, Workers: *workers, QueueDepth: *queue, NoZeroCopy: *noZeroCopy,
+		Depth: *depth, Workers: *workers, QueueDepth: *queue,
 		MaxTenants: *maxTenants, TenantQueueDepth: *tenantQueue,
 		TenantBytesPerSec: *tenantBPS, TenantIOPS: *tenantIOPS,
 		StageHistograms: *metricsAddr != "",
@@ -173,11 +137,6 @@ func main() {
 					fatal(err)
 				}
 			}
-			if replSrv != nil {
-				if err := replSrv.Close(); err != nil {
-					fatal(err)
-				}
-			}
 			if err := tgt.Close(); err != nil {
 				fatal(err)
 			}
@@ -185,6 +144,34 @@ func main() {
 			return
 		}
 	}
+}
+
+// hostCoordinator starts this process's replica of the mount coordinator
+// on addr. peerList is -coord-peers; empty, the set is [addr], a single
+// coordinator.
+func hostCoordinator(addr, peerList string, world int) (*coord.ReplicatedServer, *metrics.Consensus, error) {
+	if world <= 0 {
+		return nil, nil, fmt.Errorf("dlfsd: -coord %s needs -coord-world > 0", addr)
+	}
+	peers := []string{addr}
+	if peerList != "" {
+		peers = strings.Split(peerList, ",")
+		self := false
+		for i := range peers {
+			peers[i] = strings.TrimSpace(peers[i])
+			self = self || peers[i] == addr
+		}
+		if !self {
+			return nil, nil, fmt.Errorf("dlfsd: -coord %s is not in -coord-peers %s", addr, peerList)
+		}
+	}
+	raft := &metrics.Consensus{}
+	srv, err := coord.ListenReplicated(world, addr, peers, coord.ReplicatedOptions{Metrics: raft})
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Printf("dlfsd: coordinator replica %s of set %v for a %d-rank job\n", addr, peers, world)
+	return srv, raft, nil
 }
 
 // statsLine renders the serving counters — opcode mix with the

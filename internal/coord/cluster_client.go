@@ -11,12 +11,6 @@ import (
 	"time"
 )
 
-// Session conformance: live mounts take either client.
-var (
-	_ Session = (*Client)(nil)
-	_ Session = (*ClusterClient)(nil)
-)
-
 // ClusterClient is one rank's failover-aware connection to a
 // coordinator replica set. It discovers the Raft leader by following
 // redirects, and when the leader dies mid-collective it re-resolves
@@ -255,8 +249,8 @@ func (c *ClusterClient) attempt(op byte, name string, blob []byte, deadline time
 }
 
 // unpackRankBlobs decodes the replicated blob set
-// (u32 count | count × (u32 rank | u32 len | blob)) into a slice
-// indexed by rank, at least world entries long.
+// (u32 count | count × (u32 rank | u32 len | blob)) into a slice of
+// world entries indexed by rank.
 func unpackRankBlobs(body []byte, world int) ([][]byte, error) {
 	if len(body) < 4 {
 		return nil, fmt.Errorf("%w: truncated blob set", ErrProtocol)
@@ -271,11 +265,11 @@ func unpackRankBlobs(body []byte, world int) ([][]byte, error) {
 		rank := int(binary.LittleEndian.Uint32(body[0:4]))
 		n := int(binary.LittleEndian.Uint32(body[4:8]))
 		body = body[8:]
-		if rank < 0 || n < 0 || len(body) < n {
-			return nil, fmt.Errorf("%w: truncated blob for rank %d", ErrProtocol, rank)
+		if rank >= world {
+			return nil, fmt.Errorf("%w: blob from rank %d in a world of %d", ErrProtocol, rank, world)
 		}
-		for rank >= len(out) {
-			out = append(out, nil)
+		if len(body) < n {
+			return nil, fmt.Errorf("%w: truncated blob for rank %d", ErrProtocol, rank)
 		}
 		out[rank] = body[:n:n]
 		body = body[n:]

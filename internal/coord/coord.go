@@ -1,23 +1,29 @@
 // Package coord is the live-path control plane for multi-node DLFS
-// mounts: a small TCP coordinator giving N ranks the two collectives the
+// mounts: a TCP coordinator giving N ranks the two collectives the
 // paper's mount needs — a barrier and the allgather that replicates
 // every node's serialized AVL directory partition to all nodes
 // (§III-B2). It is the real-socket counterpart of the simulated
 // cluster.Job collectives.
 //
-// One process hosts a Server sized for the job's world; every rank
-// (including one in the hosting process) dials it with Join. Collectives
+// There is one coordinator, ReplicatedServer: a Raft replica set sized
+// for the job's world, of which a single-coordinator deployment is the
+// one-replica case (it elects itself and commits alone). Every rank
+// dials the set with JoinCluster and gets a ClusterClient. Collectives
 // are named, so a program can run several independent barriers and
 // gathers over one connection. The client is synchronous: one collective
 // in flight per rank, which matches mount's phase structure.
 //
-// Failure model: the coordinator watches every member connection. When a
-// rank dies — its TCP connection drops, mid-frame or between frames —
-// the server broadcasts an abort naming the lost rank, and every
-// surviving rank's pending (and future) collective fails fast with a
-// *PeerLostError instead of wedging the job. Clients additionally bound
-// each wait with Options.WaitTimeout so a dead coordinator cannot wedge
-// them either.
+// Failure model: the leader watches every member connection. A dropped
+// connection is ambiguous — the rank may be dead, or reconnecting after
+// a leader failover — so the leader waits ReplicatedOptions.RankGrace
+// for a rejoin before it replicates the loss; every surviving rank's
+// pending (and future) collective then fails with a *PeerLostError
+// naming the lost rank instead of wedging the job. A rank that leaves
+// in an orderly way while a collective is pending is declared lost at
+// once. Clients bound each wait with Options.WaitTimeout and each
+// leader search with Options.ResolveTimeout, so a dead coordinator
+// cannot wedge them either, and a rank may start before its
+// coordinator does.
 //
 // Framing (all integers little-endian):
 //
@@ -25,9 +31,9 @@
 //
 // Join carries the world size; Barrier and Gather carry a 16-bit
 // name-length-prefixed collective name (Gather followed by the blob);
-// the Blobs response carries the name then world length-prefixed blobs
-// in rank order; Abort carries the lost rank (0xFFFFFFFF when the fault
-// is not attributable) and a reason string.
+// the Blobs response carries the name, a u32 count, then count
+// rank-tagged length-prefixed blobs; Abort carries the lost rank
+// (0xFFFFFFFF when the fault is not attributable) and a reason string.
 package coord
 
 import (
@@ -35,17 +41,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
-	"sync"
 	"time"
 )
 
 // Magic guards against cross-protocol connections ("DLCO").
 const Magic = 0x444C434F
 
-// Opcodes. The first eight are the classic single-server protocol; the
-// rest exist only on the replicated coordinator (redirect-based leader
-// discovery, cluster status, and elastic departure).
+// Opcodes.
 const (
 	opJoin byte = iota + 1
 	opJoinOK
@@ -262,363 +264,18 @@ func abortError(p []byte) error {
 	return e
 }
 
-// member is one joined rank on the server side.
-type member struct {
-	rank int
-	conn net.Conn
-	wmu  sync.Mutex // serialises writes (releases and aborts race)
-}
-
-func (m *member) send(f *frame, timeout time.Duration) error {
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	if timeout > 0 {
-		m.conn.SetWriteDeadline(time.Now().Add(timeout)) //nolint:errcheck
-	}
-	return writeFrame(m.conn, f)
-}
-
-// barrierColl tracks one named barrier's arrivals.
-type barrierColl struct {
-	arrived map[int]bool
-}
-
-// gatherColl tracks one named allgather's contributions.
-type gatherColl struct {
-	blobs map[int][]byte
-}
-
-// ServerOptions tunes the coordinator.
-type ServerOptions struct {
-	// WriteTimeout bounds each response write so one stalled member
-	// cannot wedge the release of the others (default 30s).
-	WriteTimeout time.Duration
-}
-
-func (o ServerOptions) withDefaults() ServerOptions {
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 30 * time.Second
-	}
-	return o
-}
-
-// Server is the coordinator: it accepts exactly world ranks and runs
-// their named barriers and allgathers until the job finishes or a
-// member dies.
-type Server struct {
-	world int
-	opt   ServerOptions
-
-	mu       sync.Mutex
-	ln       net.Listener
-	members  map[int]*member
-	barriers map[string]*barrierColl
-	gathers  map[string]*gatherColl
-	failed   error // first peer loss, poisons all later collectives
-	closed   bool
-	wg       sync.WaitGroup
-}
-
-// NewServer returns a coordinator for a job of world ranks.
-func NewServer(world int, opt ServerOptions) *Server {
-	if world <= 0 {
-		panic("coord: non-positive world size")
-	}
-	return &Server{
-		world:    world,
-		opt:      opt.withDefaults(),
-		members:  make(map[int]*member),
-		barriers: make(map[string]*barrierColl),
-		gathers:  make(map[string]*gatherColl),
-	}
-}
-
-// World reports the job size the server was built for.
-func (s *Server) World() int { return s.world }
-
-// Listen starts accepting ranks on addr and returns the bound address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.serveConn(c)
-			}()
-		}
-	}()
-	return ln.Addr().String(), nil
-}
-
-// Close stops the coordinator and disconnects all members.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.members))
-	for _, m := range s.members {
-		conns = append(conns, m.conn)
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for _, c := range conns {
-		c.Close() //nolint:errcheck
-	}
-	s.wg.Wait()
-	return err
-}
-
-// serveConn handles one member from join to departure.
-func (s *Server) serveConn(c net.Conn) {
-	hello, err := readFrame(c)
-	if err != nil || hello.op != opJoin || len(hello.payload) != 4 {
-		c.Close() //nolint:errcheck
-		return
-	}
-	rank := int(hello.rank)
-	world := int(binary.LittleEndian.Uint32(hello.payload))
-	m := &member{rank: rank, conn: c}
-	if err := s.admit(m, world); err != nil {
-		m.send(&frame{op: opAbort, payload: abortPayload(noRank, err.Error())}, s.opt.WriteTimeout) //nolint:errcheck
-		c.Close()                                                                                   //nolint:errcheck
-		return
-	}
-	if err := m.send(&frame{op: opJoinOK, rank: uint32(rank)}, s.opt.WriteTimeout); err != nil {
-		s.drop(m, "join ack failed")
-		return
-	}
-	for {
-		f, err := readFrame(c)
-		if err != nil {
-			s.drop(m, "connection lost: "+err.Error())
-			return
-		}
-		switch f.op {
-		case opBarrier:
-			name, _, err := unpackName(f.payload)
-			if err != nil {
-				s.drop(m, err.Error())
-				return
-			}
-			s.barrier(m, name)
-		case opGather:
-			name, blob, err := unpackName(f.payload)
-			if err != nil {
-				s.drop(m, err.Error())
-				return
-			}
-			s.gather(m, name, blob)
-		case opLeave:
-			s.leave(m)
-			c.Close() //nolint:errcheck
-			return
-		default:
-			s.drop(m, fmt.Sprintf("unexpected opcode %d", f.op))
-			return
-		}
-	}
-}
-
-// admit registers a joining member, validating rank and world.
-func (s *Server) admit(m *member, world int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.failed != nil {
-		return s.failed
-	}
-	if world != s.world {
-		return fmt.Errorf("world mismatch: rank %d joined with world %d, coordinator has %d", m.rank, world, s.world)
-	}
-	if m.rank < 0 || m.rank >= s.world {
-		return fmt.Errorf("rank %d out of range for world %d", m.rank, s.world)
-	}
-	if _, dup := s.members[m.rank]; dup {
-		return fmt.Errorf("rank %d already joined", m.rank)
-	}
-	s.members[m.rank] = m
-	return nil
-}
-
-// drop handles a dead member: every pending and future collective is
-// poisoned and all survivors are told which rank died so they fail fast
-// instead of waiting out their timeout.
-func (s *Server) drop(m *member, reason string) {
-	m.conn.Close() //nolint:errcheck
-	s.mu.Lock()
-	if s.closed || s.members[m.rank] != m {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.members, m.rank)
-	if s.failed == nil {
-		s.failed = &PeerLostError{Rank: m.rank, Reason: reason}
-	}
-	s.barriers = make(map[string]*barrierColl)
-	s.gathers = make(map[string]*gatherColl)
-	survivors := s.survivorsLocked()
-	s.mu.Unlock()
-	s.broadcastAbort(survivors, uint32(m.rank), reason)
-}
-
-// leave handles an orderly departure (client Close): no abort unless a
-// collective was mid-flight, in which case the waiters must not wedge.
-func (s *Server) leave(m *member) {
-	s.mu.Lock()
-	if s.closed || s.members[m.rank] != m {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.members, m.rank)
-	pending := len(s.barriers) > 0 || len(s.gathers) > 0
-	if pending && s.failed == nil {
-		s.failed = &PeerLostError{Rank: m.rank, Reason: "left during a collective"}
-		s.barriers = make(map[string]*barrierColl)
-		s.gathers = make(map[string]*gatherColl)
-	}
-	var survivors []*member
-	if pending {
-		survivors = s.survivorsLocked()
-	}
-	s.mu.Unlock()
-	if pending {
-		s.broadcastAbort(survivors, uint32(m.rank), "left during a collective")
-	}
-}
-
-func (s *Server) survivorsLocked() []*member {
-	out := make([]*member, 0, len(s.members))
-	for _, sm := range s.members {
-		out = append(out, sm)
-	}
-	return out
-}
-
-func (s *Server) broadcastAbort(members []*member, rank uint32, reason string) {
-	for _, sm := range members {
-		sm.send(&frame{op: opAbort, payload: abortPayload(rank, reason)}, s.opt.WriteTimeout) //nolint:errcheck
-	}
-}
-
-// barrier records an arrival; the world-th arrival releases everyone.
-func (s *Server) barrier(m *member, name string) {
-	s.mu.Lock()
-	if s.failed != nil {
-		f := s.failed
-		s.mu.Unlock()
-		s.sendAbort(m, f)
-		return
-	}
-	b := s.barriers[name]
-	if b == nil {
-		b = &barrierColl{arrived: make(map[int]bool)}
-		s.barriers[name] = b
-	}
-	b.arrived[m.rank] = true
-	if len(b.arrived) < s.world {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.barriers, name)
-	waiters := s.survivorsLocked()
-	s.mu.Unlock()
-	release := &frame{op: opRelease, payload: packName(name, nil)}
-	for _, w := range waiters {
-		w.send(release, s.opt.WriteTimeout) //nolint:errcheck
-	}
-}
-
-// gather records a contribution; the world-th contribution assembles the
-// rank-ordered blob set and sends it to every member.
-func (s *Server) gather(m *member, name string, blob []byte) {
-	s.mu.Lock()
-	if s.failed != nil {
-		f := s.failed
-		s.mu.Unlock()
-		s.sendAbort(m, f)
-		return
-	}
-	g := s.gathers[name]
-	if g == nil {
-		g = &gatherColl{blobs: make(map[int][]byte)}
-		s.gathers[name] = g
-	}
-	if _, dup := g.blobs[m.rank]; dup {
-		s.mu.Unlock()
-		s.drop(m, fmt.Sprintf("rank %d contributed twice to allgather %q", m.rank, name))
-		return
-	}
-	g.blobs[m.rank] = append([]byte(nil), blob...)
-	if len(g.blobs) < s.world {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.gathers, name)
-	waiters := s.survivorsLocked()
-	// Assemble once: name, then world length-prefixed blobs in rank order.
-	size := 0
-	for _, b := range g.blobs {
-		size += 4 + len(b)
-	}
-	body := make([]byte, 0, size)
-	var lenw [4]byte
-	for r := 0; r < s.world; r++ {
-		b := g.blobs[r]
-		binary.LittleEndian.PutUint32(lenw[:], uint32(len(b)))
-		body = append(body, lenw[:]...)
-		body = append(body, b...)
-	}
-	s.mu.Unlock()
-	resp := &frame{op: opBlobs, payload: packName(name, body)}
-	for _, w := range waiters {
-		w.send(resp, s.opt.WriteTimeout) //nolint:errcheck
-	}
-}
-
-func (s *Server) sendAbort(m *member, failure error) {
-	rank := noRank
-	reason := failure.Error()
-	var pl *PeerLostError
-	if errors.As(failure, &pl) && pl.Rank >= 0 {
-		rank = uint32(pl.Rank)
-		reason = pl.Reason
-	}
-	m.send(&frame{op: opAbort, payload: abortPayload(rank, reason)}, s.opt.WriteTimeout) //nolint:errcheck
-}
-
 // Options tunes a client.
 type Options struct {
 	DialTimeout time.Duration // dial + join handshake bound (default 10s)
-	// WaitTimeout bounds each collective wait (default 60s; <0 disables).
-	// It is the client-side backstop for a dead coordinator; a dead peer
-	// is reported much faster by the coordinator's abort broadcast.
+	// WaitTimeout bounds each collective wait, failovers included
+	// (default 60s; <0 disables). It is the client-side backstop for a
+	// dead coordinator; a dead peer is reported by the leader once the
+	// peer has stayed away for ReplicatedOptions.RankGrace.
 	WaitTimeout time.Duration
-	// ResolveTimeout bounds a ClusterClient's leader search — the total
-	// budget for sweeping the replica set with backoff until one answers
-	// as leader (default 30s). Ignored by the classic single-server
-	// client.
+	// ResolveTimeout bounds a leader search — the total budget for
+	// sweeping the replica set with backoff until one answers as leader
+	// (default 30s). It is also how long a rank that starts before its
+	// coordinator keeps trying before JoinCluster returns ErrNoLeader.
 	ResolveTimeout time.Duration
 }
 
@@ -633,164 +290,4 @@ func (o Options) withDefaults() Options {
 		o.ResolveTimeout = 30 * time.Second
 	}
 	return o
-}
-
-// Session is the collective surface a live mount consumes: both the
-// classic single-coordinator *Client and the replica-set *ClusterClient
-// satisfy it, so live.MountCluster works unchanged against either
-// control plane.
-type Session interface {
-	Rank() int
-	World() int
-	Barrier(name string) error
-	Allgather(name string, blob []byte) ([][]byte, error)
-	Close() error
-}
-
-// Client is one rank's synchronous connection to the coordinator.
-type Client struct {
-	conn  net.Conn
-	rank  int
-	world int
-	opt   Options
-
-	mu     sync.Mutex // one collective in flight at a time
-	closed bool
-}
-
-// Join dials the coordinator and registers as rank of world.
-func Join(addr string, rank, world int, opt Options) (*Client, error) {
-	opt = opt.withDefaults()
-	conn, err := net.DialTimeout("tcp", addr, opt.DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("coord: dial %s: %w", addr, err)
-	}
-	c := &Client{conn: conn, rank: rank, world: world, opt: opt}
-	var worldw [4]byte
-	binary.LittleEndian.PutUint32(worldw[:], uint32(world))
-	conn.SetDeadline(time.Now().Add(opt.DialTimeout)) //nolint:errcheck
-	if err := writeFrame(conn, &frame{op: opJoin, rank: uint32(rank), payload: worldw[:]}); err != nil {
-		conn.Close() //nolint:errcheck
-		return nil, fmt.Errorf("coord: join: %w", err)
-	}
-	f, err := readFrame(conn)
-	if err != nil {
-		conn.Close() //nolint:errcheck
-		return nil, fmt.Errorf("coord: join: %w", err)
-	}
-	conn.SetDeadline(time.Time{}) //nolint:errcheck
-	switch f.op {
-	case opJoinOK:
-		return c, nil
-	case opAbort:
-		conn.Close() //nolint:errcheck
-		return nil, fmt.Errorf("coord: join rejected: %w", abortError(f.payload))
-	default:
-		conn.Close() //nolint:errcheck
-		return nil, fmt.Errorf("%w: unexpected join reply opcode %d", ErrProtocol, f.op)
-	}
-}
-
-// Rank reports the client's rank.
-func (c *Client) Rank() int { return c.rank }
-
-// World reports the job size.
-func (c *Client) World() int { return c.world }
-
-// Barrier blocks until every rank has called Barrier with the same name.
-func (c *Client) Barrier(name string) error {
-	_, err := c.collective(opBarrier, name, nil)
-	return err
-}
-
-// Allgather contributes blob under name and blocks until every rank has
-// contributed, returning all blobs indexed by rank (this rank's own blob
-// included, so blobs[i] is rank i's contribution).
-func (c *Client) Allgather(name string, blob []byte) ([][]byte, error) {
-	return c.collective(opGather, name, blob)
-}
-
-// collective runs one synchronous request/response exchange.
-func (c *Client) collective(op byte, name string, blob []byte) ([][]byte, error) {
-	if len(name) == 0 || len(name) > maxName {
-		return nil, fmt.Errorf("%w: bad collective name %q", ErrProtocol, name)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	if err := writeFrame(c.conn, &frame{op: op, rank: uint32(c.rank), payload: packName(name, blob)}); err != nil {
-		return nil, fmt.Errorf("coord: send %q: %w", name, err)
-	}
-	if c.opt.WaitTimeout > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(c.opt.WaitTimeout)) //nolint:errcheck
-		defer c.conn.SetReadDeadline(time.Time{})                 //nolint:errcheck
-	}
-	f, err := readFrame(c.conn)
-	if err != nil {
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			return nil, fmt.Errorf("%w: %q after %v", ErrWaitTimeout, name, c.opt.WaitTimeout)
-		}
-		return nil, fmt.Errorf("coord: wait %q: %w", name, err)
-	}
-	switch f.op {
-	case opAbort:
-		return nil, abortError(f.payload)
-	case opRelease:
-		got, _, err := unpackName(f.payload)
-		if err != nil {
-			return nil, err
-		}
-		if op != opBarrier || got != name {
-			return nil, fmt.Errorf("%w: release for %q while waiting on %q", ErrProtocol, got, name)
-		}
-		return nil, nil
-	case opBlobs:
-		got, body, err := unpackName(f.payload)
-		if err != nil {
-			return nil, err
-		}
-		if op != opGather || got != name {
-			return nil, fmt.Errorf("%w: blobs for %q while waiting on %q", ErrProtocol, got, name)
-		}
-		return unpackBlobs(body, c.world)
-	default:
-		return nil, fmt.Errorf("%w: unexpected opcode %d", ErrProtocol, f.op)
-	}
-}
-
-// unpackBlobs splits the rank-ordered length-prefixed blob set.
-func unpackBlobs(body []byte, world int) ([][]byte, error) {
-	out := make([][]byte, world)
-	for r := 0; r < world; r++ {
-		if len(body) < 4 {
-			return nil, fmt.Errorf("%w: truncated blob set at rank %d", ErrProtocol, r)
-		}
-		n := int(binary.LittleEndian.Uint32(body[0:4]))
-		body = body[4:]
-		if len(body) < n {
-			return nil, fmt.Errorf("%w: truncated blob for rank %d", ErrProtocol, r)
-		}
-		out[r] = body[:n:n]
-		body = body[n:]
-	}
-	if len(body) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after blob set", ErrProtocol, len(body))
-	}
-	return out, nil
-}
-
-// Close departs the job. A Close while peers are inside a collective
-// aborts them (a rank cannot silently leave mid-allgather).
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	c.conn.SetWriteDeadline(time.Now().Add(time.Second))          //nolint:errcheck
-	writeFrame(c.conn, &frame{op: opLeave, rank: uint32(c.rank)}) //nolint:errcheck
-	return c.conn.Close()
 }

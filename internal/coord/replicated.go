@@ -15,16 +15,16 @@ import (
 	"dlfs/internal/metrics"
 )
 
-// This file is the replicated control plane: the same collective
-// protocol as the classic Server, but backed by a Raft log so a
-// 3-replica coordinator set survives the death of its leader
-// (DESIGN.md §13). Every state transition that must be agreed on —
-// barrier arrivals, allgather contributions, rank loss, and elastic
-// membership changes — is a command in the log; the leader's client
-// handlers merely propose commands and wait for the replicated state
-// machine to show the result. Completed collectives stay in the FSM, so
-// a client that resubmits after a failover gets the stored answer
-// instead of wedging the survivors (commands are idempotent).
+// This file is the coordinator: the collective protocol backed by a
+// Raft log, so a 3-replica set survives the death of its leader and a
+// 1-replica set is the plain single coordinator (DESIGN.md §11). Every
+// state transition that must be agreed on — barrier arrivals, allgather
+// contributions, rank loss, and elastic membership changes — is a
+// command in the log; the leader's client handlers merely propose
+// commands and wait for the replicated state machine to show the
+// result. Completed collectives stay in the FSM, so a client that
+// resubmits after a failover gets the stored answer instead of wedging
+// the survivors (commands are idempotent).
 //
 // Replica traffic shares the client listener: the accept loop peeks the
 // first four bytes and routes Raft's "DLRF" magic to the consensus
@@ -364,8 +364,8 @@ func ListenReplicated(world int, self string, peers []string, opt ReplicatedOpti
 
 // StartReplicaSet stands up n replicas on ephemeral loopback ports —
 // the listeners are bound first so every replica knows the full peer
-// list — and returns them with their addresses. Used by tests and the
-// dlfsctl in-process smoke.
+// list — and returns them with their addresses: the in-process
+// coordinator of the benchmark, the dlfsctl smoke and the tests.
 func StartReplicaSet(n, world int, opt ReplicatedOptions) ([]*ReplicatedServer, []string, error) {
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -630,8 +630,16 @@ func (s *ReplicatedServer) handleJoin(conn net.Conn, f *frame) (int, bool) {
 		s.sendRedirect(conn)
 		return -1, false
 	}
-	if rank < 0 || f.rank == noRank {
-		s.sendAbortFrame(conn, noRank, "invalid rank")
+	if len(f.payload) != 4 {
+		s.sendAbortFrame(conn, noRank, "bad join")
+		return -1, false
+	}
+	if world := int(binary.LittleEndian.Uint32(f.payload)); world != s.world {
+		s.sendAbortFrame(conn, noRank, fmt.Sprintf("world mismatch: rank %d joined with world %d, coordinator has %d", rank, world, s.world))
+		return -1, false
+	}
+	if rank < 0 || rank >= s.world {
+		s.sendAbortFrame(conn, noRank, fmt.Sprintf("rank %d out of range for world %d", rank, s.world))
 		return -1, false
 	}
 	s.fsm.mu.Lock()
@@ -849,8 +857,9 @@ func (s *ReplicatedServer) forgetClient(rank int, conn net.Conn) {
 }
 
 // clientLeave handles an orderly opLeave. Leaving while collectives are
-// pending is a deliberate walk-out (the classic server's semantics): the
-// rank is declared lost immediately so waiters fail fast.
+// pending is a deliberate walk-out, not an ambiguous drop: the rank is
+// declared lost immediately, without the grace window, so waiters fail
+// fast.
 func (s *ReplicatedServer) clientLeave(rank int, conn net.Conn) {
 	s.forgetClient(rank, conn)
 	s.fsm.mu.Lock()

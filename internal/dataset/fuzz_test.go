@@ -10,6 +10,7 @@ func FuzzScan(f *testing.F) {
 	f.Add(c.Data)
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
+	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\x7f0000")) // length MaxInt64: header offset + length wrapped negative
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := Scan(data)
 		if err != nil {

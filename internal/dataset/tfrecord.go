@@ -94,7 +94,8 @@ func Scan(data []byte) ([]Record, error) {
 		length := int64(binary.LittleEndian.Uint64(data[off : off+8]))
 		wantCRC := binary.LittleEndian.Uint32(data[off+8 : off+12])
 		payloadOff := off + recordHeaderSize
-		if length < 0 || payloadOff+length > int64(len(data)) {
+		// Not payloadOff+length > len(data): a huge claimed length wraps.
+		if length < 0 || length > int64(len(data))-payloadOff {
 			return nil, ErrCorrupt
 		}
 		payload := data[payloadOff : payloadOff+length]

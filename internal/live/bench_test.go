@@ -58,10 +58,9 @@ func BenchmarkMount(b *testing.B) {
 }
 
 // BenchmarkLiveEpoch measures end-to-end epoch throughput (samples/sec
-// and MB/s) across the pipeline feature matrix: queue-pair fan-out on
-// and off, request coalescing on and off, buffer pooling on and off.
-// The qp1/nocoalesce/nopool cell reproduces the old single-connection
-// per-chunk path and is the baseline for the speedup acceptance bound.
+// and MB/s) with queue-pair fan-out off and on. The last numbers of the
+// uncoalesced and unpooled modes it used to be read against are in
+// CHANGES.md (PR 18).
 func BenchmarkLiveEpoch(b *testing.B) {
 	const (
 		numSamples = 512
@@ -71,10 +70,7 @@ func BenchmarkLiveEpoch(b *testing.B) {
 		name string
 		cfg  Config
 	}{
-		{"qp1_nocoalesce_nopool", Config{QueuePairs: 1, NoCoalesce: true, NoBufferPool: true}},
 		{"qp1_coalesce_pool", Config{QueuePairs: 1}},
-		{"qp4_nocoalesce_pool", Config{QueuePairs: 4, NoCoalesce: true}},
-		{"qp4_coalesce_nopool", Config{QueuePairs: 4, NoBufferPool: true}},
 		{"qp4_coalesce_pool", Config{QueuePairs: 4}},
 	}
 	for _, tc := range cases {
@@ -174,25 +170,23 @@ func BenchmarkLandingSweep(b *testing.B) {
 }
 
 // BenchmarkReadSample measures the dlfs_open/read/close hot path served
-// from the sharded V-bit cache. The pooled hit path with histograms off
-// is the allocs/op acceptance bound (≤1 alloc/op, pinned by
-// TestReadSampleHitPathAllocs); the hist cells show the observability
+// from the sharded V-bit cache. The hit path with histograms off is the
+// allocs/op acceptance bound (≤1 alloc/op, pinned by
+// TestReadSampleHitPathAllocs); the hist cell shows the observability
 // overhead — two clock reads and two atomic adds per hit.
 func BenchmarkReadSample(b *testing.B) {
 	cases := []struct {
-		name       string
-		pool, hist bool
+		name string
+		hist bool
 	}{
-		{"pool", true, false},
-		{"nopool", false, false},
-		{"pool_hist", true, true},
-		{"nopool_hist", false, true},
+		{"pool", false},
+		{"pool_hist", true},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			addrs := benchTargets(b, 1)
 			ds := testDS(64, 4<<10)
-			fs, err := Mount(addrs, ds, Config{NoBufferPool: !tc.pool, StageHistograms: tc.hist})
+			fs, err := Mount(addrs, ds, Config{StageHistograms: tc.hist})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -255,7 +249,7 @@ func BenchmarkReadSampleParallel(b *testing.B) {
 // `go test` catches a broken matrix without running `make bench`.
 func TestBenchmarkConfigsDeliver(t *testing.T) {
 	for _, cfg := range []Config{
-		{QueuePairs: 1, NoCoalesce: true, NoBufferPool: true},
+		{QueuePairs: 1},
 		{QueuePairs: 4},
 	} {
 		addrs := startTargets(t, 2)

@@ -454,17 +454,12 @@ func TestChaosBreakerRecoversHalfOpen(t *testing.T) {
 // acceptance case: rank 2's coordinator connection runs through a chaos
 // proxy whose byte budget kills it partway through sending the
 // directory blob. The surviving ranks must fail their mount with a
-// typed coord.PeerLostError naming rank 2 — fast, via the
-// coordinator's abort broadcast, not by waiting out a timeout.
+// typed coord.PeerLostError naming rank 2 — once the coordinator's
+// RankGrace has run out on it, not by waiting out CoordWaitTimeout.
 func TestChaosClusterPeerDiesMidAllgather(t *testing.T) {
 	const world = 3
 	addrs := startTargets(t, world)
-	srv := coord.NewServer(world, coord.ServerOptions{})
-	caddr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close() //nolint:errcheck
+	caddr := startCoord(t, world)[0]
 
 	// The doomed rank's control-plane path: budget enough for the join
 	// handshake and the mount-start barrier, but not for the full
@@ -491,7 +486,7 @@ func TestChaosClusterPeerDiesMidAllgather(t *testing.T) {
 				coordAddr = daddr
 			}
 			var fs *FS
-			fs, errs[r] = MountCluster(coordAddr, r, world, addrs, ds, cfg)
+			fs, errs[r] = MountClusterPeers([]string{coordAddr}, r, world, addrs, ds, cfg)
 			if fs != nil {
 				fs.Close() //nolint:errcheck
 			}

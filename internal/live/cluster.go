@@ -44,45 +44,32 @@ const (
 	barrierMountDone  = "dlfs/mount/done"
 )
 
-// MountCluster is the live multi-node dlfs_mount (paper §III-B2): rank
-// joins the coordinator at coordAddr, uploads only its hash-shard of the
-// dataset to its own target (addrs[rank]), builds the home-node
-// directory partition, and exchanges serialized partitions with the
-// other world-1 ranks through a TCP allgather. Every rank then assembles
-// the full replicated directory with directory.FromBlobs and asserts —
-// via a second allgather of the 64-bit fingerprints — that all replicas
-// are identical. world must equal len(addrs): one exported target per
-// rank.
+// MountClusterPeers is the live multi-node dlfs_mount (paper §III-B2):
+// rank joins the coordinator replica set listed in peers (one address
+// for a single coordinator), uploads only its hash-shard of the dataset
+// to its own target (addrs[rank]), builds the home-node directory
+// partition, and exchanges serialized partitions with the other world-1
+// ranks through a TCP allgather. Every rank then assembles the full
+// replicated directory with directory.FromBlobs and asserts — via a
+// second allgather of the 64-bit fingerprints — that all replicas are
+// identical. world must equal len(addrs): one exported target per rank.
 //
 // The returned FS reads from all targets like a single-node Mount, and
 // additionally answers ClusterSequence with this rank's disjoint slice
-// of the seeded global epoch order. A peer dying mid-mount surfaces as
-// an error matching coord.ErrPeerLost on every survivor; replica
-// divergence surfaces as ErrFingerprintMismatch.
-func MountCluster(coordAddr string, rank, world int, addrs []string, ds *dataset.Dataset, cfg Config) (*FS, error) {
-	cfg = cfg.withDefaults()
-	if err := validateCluster(rank, world, addrs); err != nil {
-		return nil, err
-	}
-	cl, err := coord.Join(coordAddr, rank, world, coord.Options{
-		DialTimeout: cfg.DialTimeout,
-		WaitTimeout: cfg.CoordWaitTimeout,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("live: coordinator: %w", err)
-	}
-	return mountWithSession(cl, rank, world, addrs, ds, cfg)
-}
-
-// MountClusterPeers is MountCluster against a replicated coordinator
-// set (dlfsd -coord-peers): peers lists every replica, the client
-// discovers the Raft leader via redirects, and a leader dying mid-mount
-// is survived by re-resolving with backoff and resubmitting the
-// interrupted collective instead of aborting the mount.
+// of the seeded global epoch order. The client discovers the Raft leader
+// via redirects, and a leader dying mid-mount is survived by
+// re-resolving with backoff and resubmitting the interrupted collective.
+// A peer dying mid-mount surfaces as an error matching coord.ErrPeerLost
+// on every survivor once it has stayed away for the coordinator's
+// RankGrace; an unreachable coordinator as coord.ErrNoLeader after the
+// client's ResolveTimeout; replica divergence as ErrFingerprintMismatch.
 func MountClusterPeers(peers []string, rank, world int, addrs []string, ds *dataset.Dataset, cfg Config) (*FS, error) {
 	cfg = cfg.withDefaults()
-	if err := validateCluster(rank, world, addrs); err != nil {
-		return nil, err
+	if world != len(addrs) {
+		return nil, fmt.Errorf("live: world %d but %d targets (one target per rank)", world, len(addrs))
+	}
+	if rank < 0 || rank >= world {
+		return nil, fmt.Errorf("live: rank %d out of range for world %d", rank, world)
 	}
 	cl, err := coord.JoinCluster(peers, rank, world, coord.Options{
 		DialTimeout: cfg.DialTimeout,
@@ -91,22 +78,6 @@ func MountClusterPeers(peers []string, rank, world int, addrs []string, ds *data
 	if err != nil {
 		return nil, fmt.Errorf("live: coordinator: %w", err)
 	}
-	return mountWithSession(cl, rank, world, addrs, ds, cfg)
-}
-
-func validateCluster(rank, world int, addrs []string) error {
-	if world != len(addrs) {
-		return fmt.Errorf("live: world %d but %d targets (one target per rank)", world, len(addrs))
-	}
-	if rank < 0 || rank >= world {
-		return fmt.Errorf("live: rank %d out of range for world %d", rank, world)
-	}
-	return nil
-}
-
-// mountWithSession runs the mount protocol over an established
-// control-plane session (classic single coordinator or replica set).
-func mountWithSession(cl coord.Session, rank, world int, addrs []string, ds *dataset.Dataset, cfg Config) (*FS, error) {
 	fs, err := open(addrs, ds, cfg)
 	if err != nil {
 		cl.Close() //nolint:errcheck
@@ -221,7 +192,7 @@ func (fs *FS) mountCluster() error {
 }
 
 // timedBarrier runs one coordinator barrier, accounting the wait.
-func timedBarrier(cl coord.Session, name string, mm *metrics.Mount) error {
+func timedBarrier(cl *coord.ClusterClient, name string, mm *metrics.Mount) error {
 	start := time.Now()
 	if err := cl.Barrier(name); err != nil {
 		return err
@@ -236,11 +207,9 @@ func (fs *FS) Rank() int { return fs.rank }
 // World reports the job size (1 for a single-node Mount).
 func (fs *FS) World() int { return fs.world }
 
-// Coordinator exposes the control-plane session of a cluster mount (nil
-// for a single-node Mount), for job-level barriers between epochs. It is
-// a *coord.Client after MountCluster and a *coord.ClusterClient after
-// MountClusterPeers.
-func (fs *FS) Coordinator() coord.Session { return fs.coord }
+// Coordinator exposes the control-plane client of a cluster mount (nil
+// for a single-node Mount), for job-level barriers between epochs.
+func (fs *FS) Coordinator() *coord.ClusterClient { return fs.coord }
 
 // MountStats reports the mount phase counters. Single-node mounts
 // return a zero snapshot.
@@ -301,18 +270,17 @@ func (fs *FS) SequenceRange(seed int64, rank, world, lo, hi int) (*Epoch, error)
 }
 
 // ReshardSequence resumes the epoch after an elastic membership change:
-// it asks the replicated coordinator for the post-change membership,
-// recomputes this rank's position among the sorted survivors, and
-// consumes its share of the unconsumed suffix [cut, M) of the seeded
-// global order. The mount must have been created with
-// MountClusterPeers; cut is the unit index the job agreed to stop the
-// old assignment at (normally ClusterStatus.DepartCut).
+// it asks the coordinator for the post-change membership, recomputes
+// this rank's position among the sorted survivors, and consumes its
+// share of the unconsumed suffix [cut, M) of the seeded global order.
+// The mount must be a cluster mount; cut is the unit index the job
+// agreed to stop the old assignment at (normally
+// ClusterStatus.DepartCut).
 func (fs *FS) ReshardSequence(seed int64, cut int) (*Epoch, error) {
-	cc, ok := fs.coord.(*coord.ClusterClient)
-	if !ok {
-		return nil, errors.New("live: ReshardSequence needs a replicated coordinator (MountClusterPeers)")
+	if fs.coord == nil {
+		return nil, errors.New("live: ReshardSequence needs a cluster mount (MountClusterPeers)")
 	}
-	st, err := cc.Status()
+	st, err := fs.coord.Status()
 	if err != nil {
 		return nil, fmt.Errorf("live: reshard status: %w", err)
 	}

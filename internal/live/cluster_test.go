@@ -11,60 +11,27 @@ import (
 	"dlfs/internal/nvmetcp"
 )
 
-// startCoord spins up a coordinator for world ranks.
-func startCoord(t *testing.T, world int) string {
+// startCoord stands up the coordinator of a world-rank job: a replica
+// set of one.
+func startCoord(t *testing.T, world int) []string {
 	t.Helper()
-	srv := coord.NewServer(world, coord.ServerOptions{})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() }) //nolint:errcheck
-	return addr
-}
-
-// mountCluster runs MountCluster for every rank concurrently (the
-// collectives cannot complete otherwise) and fails the test on any
-// error.
-func mountCluster(t *testing.T, caddr string, addrs []string, ds *dataset.Dataset, cfg Config) []*FS {
-	t.Helper()
-	world := len(addrs)
-	fss := make([]*FS, world)
-	errs := make([]error, world)
-	var wg sync.WaitGroup
-	for r := 0; r < world; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			fss[r], errs[r] = MountCluster(caddr, r, world, addrs, ds, cfg)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d mount: %v", r, err)
-		}
-	}
-	for r, fs := range fss {
-		fs := fs
-		_ = r
-		t.Cleanup(func() { fs.Close() }) //nolint:errcheck
-	}
-	return fss
+	_, peers := startReplicaSet(t, 1, world)
+	return peers
 }
 
 // TestClusterMountThreeRanks is the multi-node acceptance test: three
-// ranks mount through the TCP coordinator, each uploading and indexing
-// only its shard; after the allgather every rank must hold an identical
-// full directory, and the per-rank epoch slices must together consume
-// every sample exactly once with content matching the single-node epoch.
+// ranks mount through a one-replica coordinator, each uploading and
+// indexing only its shard; after the allgather every rank must hold an
+// identical full directory, and the per-rank epoch slices must together
+// consume every sample exactly once with content matching the
+// single-node epoch.
 func TestClusterMountThreeRanks(t *testing.T) {
 	const world = 3
 	tgts, addrs := startTargetObjs(t, world, 256<<20, nvmetcp.Config{Depth: 32})
-	caddr := startCoord(t, world)
+	peers := startCoord(t, world)
 	ds := testDS(240, 3000)
 	cfg := Config{ChunkSize: 16 << 10, CacheBytes: 2 << 20}
-	fss := mountCluster(t, caddr, addrs, ds, cfg)
+	fss := mountClusterPeers(t, peers, addrs, ds, cfg)
 
 	// Every shard was uploaded once, by its own rank: what the ranks say
 	// they wrote and what the targets took in are both the dataset.
@@ -237,12 +204,12 @@ func TestSequenceSliceMatchesFullEpoch(t *testing.T) {
 // TestClusterMountWorldMismatch checks argument validation.
 func TestClusterMountWorldMismatch(t *testing.T) {
 	addrs := startTargets(t, 2)
-	caddr := startCoord(t, 3)
+	peers := startCoord(t, 3)
 	ds := testDS(10, 512)
-	if _, err := MountCluster(caddr, 0, 3, addrs, ds, Config{}); err == nil {
+	if _, err := MountClusterPeers(peers, 0, 3, addrs, ds, Config{}); err == nil {
 		t.Fatal("world/targets mismatch accepted")
 	}
-	if _, err := MountCluster(caddr, 2, 2, addrs, ds, Config{}); err == nil {
+	if _, err := MountClusterPeers(peers, 2, 2, addrs, ds, Config{}); err == nil {
 		t.Fatal("out-of-range rank accepted")
 	}
 }
@@ -253,13 +220,13 @@ func TestClusterMountWorldMismatch(t *testing.T) {
 func TestClusterMountPeerClosesEarly(t *testing.T) {
 	const world = 3
 	addrs := startTargets(t, world)
-	caddr := startCoord(t, world)
+	peers := startCoord(t, world)
 	ds := testDS(60, 1000)
 	cfg := Config{CoordWaitTimeout: 10 * time.Second}
 
 	// Rank 2 joins and immediately leaves while ranks 0 and 1 are inside
 	// the mount-start barrier.
-	ghost, err := coord.Join(caddr, 2, world, coord.Options{})
+	ghost, err := coord.JoinCluster(peers, 2, world, coord.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +237,7 @@ func TestClusterMountPeerClosesEarly(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			var fs *FS
-			fs, errs[r] = MountCluster(caddr, r, world, addrs, ds, cfg)
+			fs, errs[r] = MountClusterPeers(peers, r, world, addrs, ds, cfg)
 			if fs != nil {
 				fs.Close() //nolint:errcheck
 			}

@@ -132,38 +132,23 @@ func TestConfigWithDefaults(t *testing.T) {
 				if c.AssemblyTransform != 0 {
 					t.Errorf("AssemblyTransform = %d, want 0 (none)", c.AssemblyTransform)
 				}
-				if c.AssemblySamplesPerCmd != 512 {
-					t.Errorf("AssemblySamplesPerCmd = %d, want 512", c.AssemblySamplesPerCmd)
-				}
 			},
 		},
 		{
 			name: "negative assembly knobs normalize to canonical -1",
-			in:   Config{ServerAssembly: true, AssemblyTransform: -42, AssemblySamplesPerCmd: -9000},
+			in:   Config{ServerAssembly: true, AssemblyTransform: -42},
 			check: func(t *testing.T, c Config) {
 				if c.AssemblyTransform != -1 {
 					t.Errorf("AssemblyTransform = %d, want canonical -1 (none)", c.AssemblyTransform)
-				}
-				if c.AssemblySamplesPerCmd != -1 {
-					t.Errorf("AssemblySamplesPerCmd = %d, want canonical -1 (protocol max)", c.AssemblySamplesPerCmd)
 				}
 			},
 		},
 		{
 			name: "explicit assembly values pass through",
-			in:   Config{ServerAssembly: true, AssemblyTransform: 1, AssemblySamplesPerCmd: 64},
+			in:   Config{ServerAssembly: true, AssemblyTransform: 1},
 			check: func(t *testing.T, c Config) {
-				if c.AssemblyTransform != 1 || c.AssemblySamplesPerCmd != 64 {
+				if c.AssemblyTransform != 1 {
 					t.Errorf("explicit assembly values clobbered: %+v", c)
-				}
-			},
-		},
-		{
-			name: "PrefetchDepth derives from Window",
-			in:   Config{Window: 5},
-			check: func(t *testing.T, c Config) {
-				if c.PrefetchDepth != 10 {
-					t.Errorf("PrefetchDepth = %d, want 2*Window", c.PrefetchDepth)
 				}
 			},
 		},

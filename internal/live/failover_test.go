@@ -111,57 +111,16 @@ func checkExactlyOnce(t *testing.T, ds *dataset.Dataset, counts []map[int]int, s
 	}
 }
 
-// TestClusterMountSingleReplicaCoordinator: a coordinator set of one
-// replica is a deployment, not a degenerate case (it is what replaces the
-// classic single coordinator). It used to sit leaderless for ever, and
-// every join failed with "coord: no leader".
-func TestClusterMountSingleReplicaCoordinator(t *testing.T) {
-	const world = 2
-	addrs := startTargets(t, world)
-	_, peers := startReplicaSet(t, 1, world)
-	ds := testDS(120, 2000)
-	fss := mountClusterPeers(t, peers, addrs, ds, Config{ChunkSize: 16 << 10, CacheBytes: 2 << 20})
-
-	counts := make([]map[int]int, world)
-	sums := make([]map[int]uint32, world)
-	errs := make([]error, world)
-	var wg sync.WaitGroup
-	for r, fs := range fss {
-		wg.Add(1)
-		go func(r int, fs *FS) {
-			defer wg.Done()
-			ep, err := fs.ClusterSequence(5)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			counts[r], sums[r], errs[r] = drainTally(ep)
-		}(r, fs)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d epoch: %v", r, err)
-		}
-	}
-	checkExactlyOnce(t, ds, counts, sums)
-}
-
 // TestChaosClusterPeerDiesMidMountBarrier is the mount-barrier rank-death
 // case: rank 2's coordinator connection runs through a chaos proxy and is
 // hard-killed while ranks 0 and 1 are blocked inside the mount-start
 // barrier. The survivors must get a typed *coord.PeerLostError naming
-// rank 2 well inside CoordWaitTimeout — via the abort broadcast, not by
-// waiting out the collective.
+// rank 2 well inside CoordWaitTimeout — once the rank has stayed away
+// for the coordinator's RankGrace, not by waiting out the collective.
 func TestChaosClusterPeerDiesMidMountBarrier(t *testing.T) {
 	const world = 3
 	addrs := startTargets(t, world)
-	srv := coord.NewServer(world, coord.ServerOptions{})
-	caddr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close() //nolint:errcheck
+	caddr := startCoord(t, world)[0]
 
 	doomed := chaos.NewProxy(caddr, chaos.Config{Seed: 7})
 	daddr, err := doomed.Listen("127.0.0.1:0")
@@ -171,7 +130,7 @@ func TestChaosClusterPeerDiesMidMountBarrier(t *testing.T) {
 	defer doomed.Close() //nolint:errcheck
 
 	// Rank 2 joins through the proxy but never reaches the barrier.
-	ghost, err := coord.Join(daddr, 2, world, coord.Options{})
+	ghost, err := coord.JoinCluster([]string{daddr}, 2, world, coord.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +146,7 @@ func TestChaosClusterPeerDiesMidMountBarrier(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			var fs *FS
-			fs, errs[r] = MountCluster(caddr, r, world, addrs, ds, cfg)
+			fs, errs[r] = MountClusterPeers([]string{caddr}, r, world, addrs, ds, cfg)
 			if fs != nil {
 				fs.Close() //nolint:errcheck
 			}
@@ -237,7 +196,7 @@ func TestChaosFailoverLeaderKilledMidEpoch(t *testing.T) {
 	cfg := Config{ChunkSize: 16 << 10, CacheBytes: 2 << 20, CoordWaitTimeout: 30 * time.Second}
 	fss := mountClusterPeers(t, peers, addrs, ds, cfg)
 
-	before, err := fss[0].Coordinator().(*coord.ClusterClient).Status()
+	before, err := fss[0].Coordinator().Status()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +259,7 @@ func TestChaosFailoverLeaderKilledMidEpoch(t *testing.T) {
 	}
 	checkExactlyOnce(t, ds, counts, sums)
 
-	after, err := fss[0].Coordinator().(*coord.ClusterClient).Status()
+	after, err := fss[0].Coordinator().Status()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,11 +334,11 @@ func TestElasticDepartReshardMidEpoch(t *testing.T) {
 
 	// Rank 2 departs at the agreed cut; the leader replicates the
 	// membership change and bumps the placement epoch.
-	stBefore, err := fss[0].Coordinator().(*coord.ClusterClient).Status()
+	stBefore, err := fss[0].Coordinator().Status()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := fss[2].Coordinator().(*coord.ClusterClient).Depart(uint64(cut))
+	st, err := fss[2].Coordinator().Depart(uint64(cut))
 	if err != nil {
 		t.Fatalf("depart: %v", err)
 	}

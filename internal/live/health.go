@@ -191,10 +191,7 @@ func (fs *FS) Stats() Stats {
 	if fs.peers != nil {
 		st.PeerAddr = fs.peers.addr
 	}
-	if fs.pool != nil {
-		hits, misses, _ := fs.pool.Stats()
-		st.Pipeline.PoolHits, st.Pipeline.PoolMisses = hits, misses
-	}
+	st.Pipeline.PoolHits, st.Pipeline.PoolMisses, _ = fs.pool.Stats()
 	for _, tg := range fs.targets {
 		tg.brk.mu.Lock()
 		fails := tg.brk.fails

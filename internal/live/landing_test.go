@@ -52,9 +52,9 @@ func exactlyOnce(t *testing.T, fs *FS, ds *dataset.Dataset, seed int64) {
 // TestMixedLandingEpoch: over a seeded mix of 1 KiB and 200 KiB samples
 // one coalesced group carries units of both landings, arena chunks and
 // per-sample pool buffers, in a single command. The epoch is byte-exact
-// and exactly-once cold, with one command per segment (NoCoalesce), and
-// warm out of the lookahead store, where a round parks each kind in its
-// own form and the next epoch needs no wire read.
+// and exactly-once cold, and warm out of the lookahead store, where a
+// round parks each kind in its own form and the next epoch needs no wire
+// read.
 func TestMixedLandingEpoch(t *testing.T) {
 	ds := dataset.Generate(dataset.Config{Label: "live", Seed: 31, NumSamples: 600, Dist: smallLarge{}})
 	total := datasetBytes(ds)
@@ -100,19 +100,6 @@ func TestMixedLandingEpoch(t *testing.T) {
 		}
 		if fs.arena.Arena().InUse() != 0 {
 			t.Fatalf("%d arena chunks still held after the epochs", fs.arena.Arena().InUse())
-		}
-	})
-
-	t.Run("no-coalesce", func(t *testing.T) {
-		fs, err := Mount(startTargets(t, 2), ds, Config{NoCoalesce: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fs.Close() //nolint:errcheck
-		exactlyOnce(t, fs, ds, 1)
-		pl := fs.Pipeline().Snapshot()
-		if pl.WireBytes != total || pl.WireReads != pl.WireSegments {
-			t.Fatalf("moved %d wire bytes for %d sample bytes in %d commands of %d segments", pl.WireBytes, total, pl.WireReads, pl.WireSegments)
 		}
 	})
 

@@ -51,23 +51,20 @@ type Config struct {
 	Window         int   // resident units to randomise across (default 8)
 	ReadCacheBytes int64 // ReadSample V-bit cache budget (default 8 MiB; <0 disables)
 
-	// Coordinator knobs (MountCluster only).
+	// Coordinator knobs (cluster mounts only).
 	CoordWaitTimeout time.Duration // collective wait bound (default 60s; <0 disables)
 
 	// Pipeline knobs.
 	QueuePairs    int   // connections per target, commands striped across them (default 2)
-	PrefetchDepth int   // units of sequence lookahead for coalescing (default 2*Window)
 	CoalesceBytes int64 // max bytes merged into one vectored wire read (default 1 MiB)
-	NoCoalesce    bool  // issue one wire read per chunk (baseline mode)
-	NoBufferPool  bool  // allocate per call instead of pooling (baseline mode)
 
 	// Clairvoyant cross-epoch prefetch: once an epoch's dispatcher has
 	// handed out all fetch groups, a background round fetches the *next*
-	// epoch's predicted unit slice (the seeded order is deterministic)
-	// into a bounded lookahead store, so the next epoch opens warm.
-	CrossEpochPrefetch  bool                   // enable the lookahead round
-	PrefetchBudgetBytes int64                  // lookahead store budget (default 16 MiB; <0 disables)
-	NextEpochSeed       func(seed int64) int64 // predicts the next epoch's seed (default seed+1)
+	// epoch's predicted unit slice (the seeded order is deterministic,
+	// and the next epoch's seed is taken to be this one's plus one) into a
+	// bounded lookahead store, so the next epoch opens warm.
+	CrossEpochPrefetch  bool  // enable the lookahead round
+	PrefetchBudgetBytes int64 // lookahead store budget (default 16 MiB; <0 disables)
 
 	// Near-data sample assembly (nvmetcp opReadSamples): fetch groups
 	// are posted as offload commands whose responses carry exactly the
@@ -76,9 +73,8 @@ type Config struct {
 	// cross the NIC and offloaded units skip the client copy stage
 	// entirely. A target that does not speak the opcode (rolling
 	// upgrade) is downgraded per-target to the vectored chunk path.
-	ServerAssembly        bool // offload sample extraction to the targets
-	AssemblyTransform     int  // nvmetcp transform ID applied target-side (default 0 = none; <0 normalized to -1 = none)
-	AssemblySamplesPerCmd int  // sample descriptors per offload command (default 512; <0 normalized to -1 = protocol max)
+	ServerAssembly    bool // offload sample extraction to the targets
+	AssemblyTransform int  // nvmetcp transform ID applied target-side (default 0 = none; <0 normalized to -1 = none)
 
 	// Cooperative peer cache (cluster mounts only): each rank hosts a
 	// peercache service over its read cache; ReadSample misses ask the
@@ -148,9 +144,6 @@ func (c Config) withDefaults() Config {
 	if c.QueuePairs <= 0 {
 		c.QueuePairs = 2
 	}
-	if c.PrefetchDepth <= 0 {
-		c.PrefetchDepth = 2 * c.Window
-	}
 	if c.CoalesceBytes <= 0 {
 		c.CoalesceBytes = 1 << 20
 	}
@@ -161,11 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AssemblyTransform < 0 {
 		c.AssemblyTransform = -1
-	}
-	if c.AssemblySamplesPerCmd == 0 {
-		c.AssemblySamplesPerCmd = 512
-	} else if c.AssemblySamplesPerCmd < 0 {
-		c.AssemblySamplesPerCmd = -1
 	}
 	if c.PeerCacheListen == "" {
 		c.PeerCacheListen = "127.0.0.1:0"
@@ -212,8 +200,8 @@ type FS struct {
 	targets  []*target
 	counters *metrics.Resilience
 	pipe     *metrics.Pipeline
-	pool     *bufpool.Pool // nil when Config.NoBufferPool
-	scache   *sampleCache  // nil when ReadCacheBytes < 0
+	pool     *bufpool.Pool
+	scache   *sampleCache // nil when ReadCacheBytes < 0
 	arena    *hugepage.Blocking
 	placed   []plan.Placed
 	nodeOf   []uint16
@@ -229,7 +217,7 @@ type FS struct {
 	// Cluster state (zero/nil on a single-node Mount).
 	rank   int
 	world  int
-	coord  coord.Session
+	coord  *coord.ClusterClient
 	mstats *metrics.Mount
 	peers  *peerSet // cooperative peer cache (Config.PeerCache)
 }
@@ -270,6 +258,7 @@ func open(addrs []string, ds *dataset.Dataset, cfg Config) (*FS, error) {
 		targets:  targets,
 		counters: counters,
 		pipe:     &metrics.Pipeline{},
+		pool:     bufpool.New(),
 		landMin:  perSampleLanding,
 		world:    1,
 	}, nil
@@ -328,8 +317,8 @@ func dialTargets(addrs []string, cfg Config, counters *metrics.Resilience) ([]*t
 	return targets, nil
 }
 
-// finishSetup attaches the sample cache arena, stage histograms, buffer
-// pool and read cache configured by cfg, and builds the unit plan.
+// finishSetup attaches the sample cache arena, stage histograms and read
+// cache configured by cfg, and builds the unit plan.
 func (fs *FS) finishSetup() error {
 	arena, err := hugepage.NewArena(fs.cfg.CacheBytes, fs.cfg.ChunkSize)
 	if err != nil {
@@ -338,9 +327,6 @@ func (fs *FS) finishSetup() error {
 	fs.arena = hugepage.NewBlocking(arena)
 	if fs.cfg.StageHistograms {
 		fs.pipe.Hist = &metrics.PipelineHist{}
-	}
-	if !fs.cfg.NoBufferPool {
-		fs.pool = bufpool.New()
 	}
 	if fs.cfg.ReadCacheBytes > 0 {
 		fs.scache = newSampleCache(fs.cfg.ReadCacheBytes, fs.pipe, fs.alloc, fs.Recycle, fs.setV)
@@ -358,20 +344,14 @@ func (fs *FS) Directory() *directory.Directory { return fs.dir }
 // Pipeline exposes the per-stage pipeline counters.
 func (fs *FS) Pipeline() *metrics.Pipeline { return fs.pipe }
 
-// alloc takes a buffer of length n from the pool (or the heap in
-// NoBufferPool mode).
-func (fs *FS) alloc(n int) []byte {
-	if fs.pool != nil {
-		return fs.pool.Get(n)
-	}
-	return make([]byte, n)
-}
+// alloc takes a buffer of length n from the pool.
+func (fs *FS) alloc(n int) []byte { return fs.pool.Get(n) }
 
 // Recycle returns a buffer previously handed out by ReadSample,
 // ReadName, or NextBatch to the pool. Optional: callers that drop
 // buffers on the floor just pay the allocator again on the next read.
 func (fs *FS) Recycle(b []byte) {
-	if fs.pool != nil && b != nil {
+	if b != nil {
 		fs.pool.Put(b)
 	}
 }
@@ -584,7 +564,7 @@ type Epoch struct {
 
 // Sequence starts an epoch with the given seed (dlfs_sequence +
 // chunk-level batching). The shuffled unit order is known up front, so
-// the dispatcher looks PrefetchDepth units ahead and merges same-target
+// the dispatcher looks 2*Window units ahead and merges same-target
 // neighbours into vectored fetch groups before handing them to the
 // Prefetchers workers — sequence-driven prefetch with request
 // coalescing. Background fetchers start immediately.
@@ -707,7 +687,7 @@ func (fs *FS) sequenceRange(seed int64, rank, world, lo, hi int) (*Epoch, error)
 		// waits to be taken is refused as a duplicate, and the next epoch
 		// then finds that unit missing.
 		if fs.prefetch != nil && fullRange {
-			fs.maybePrefetch(fs.nextSeed(seed), rank, world)
+			fs.maybePrefetch(seed+1, rank, world) // the conventional per-epoch reseed
 		}
 		close(ep.ready)
 	}()
@@ -740,8 +720,8 @@ func (fs *FS) pump(units []unit, stop <-chan struct{}, fetch func(*fetchGroup) b
 }
 
 // dispatch walks the shuffled unit order, merging each unit with
-// not-yet-taken same-target units within the PrefetchDepth lookahead
-// window, bounded by CoalesceBytes and half the arena (so blocking
+// not-yet-taken same-target units within a lookahead window of 2*Window
+// units, bounded by CoalesceBytes and half the arena (so blocking
 // group allocations always complete). A unit too large for the caps
 // still ships as its own group.
 func (fs *FS) dispatch(units []unit, work chan<- *fetchGroup, stop <-chan struct{}) {
@@ -757,26 +737,24 @@ func (fs *FS) dispatch(units []unit, work chan<- *fetchGroup, stop <-chan struct
 		}
 		taken[i] = true
 		g := &fetchGroup{units: []*unit{&units[i]}}
-		if !fs.cfg.NoCoalesce {
-			bytes := int64(units[i].length)
-			chunks := units[i].chunkCount(cs)
-			for j := i + 1; j < len(units) && j <= i+fs.cfg.PrefetchDepth; j++ {
-				if taken[j] || units[j].node != units[i].node {
-					continue
-				}
-				cb := int64(units[j].length)
-				cc := units[j].chunkCount(cs)
-				if bytes+cb > fs.cfg.CoalesceBytes || chunks+cc > maxChunks {
-					continue
-				}
-				taken[j] = true
-				g.units = append(g.units, &units[j])
-				bytes += cb
-				chunks += cc
+		bytes := int64(units[i].length)
+		chunks := units[i].chunkCount(cs)
+		for j := i + 1; j < len(units) && j <= i+2*fs.cfg.Window; j++ {
+			if taken[j] || units[j].node != units[i].node {
+				continue
 			}
-			if len(g.units) > 1 {
-				fs.pipe.CoalescedUnits.Add(int64(len(g.units) - 1))
+			cb := int64(units[j].length)
+			cc := units[j].chunkCount(cs)
+			if bytes+cb > fs.cfg.CoalesceBytes || chunks+cc > maxChunks {
+				continue
 			}
+			taken[j] = true
+			g.units = append(g.units, &units[j])
+			bytes += cb
+			chunks += cc
+		}
+		if len(g.units) > 1 {
+			fs.pipe.CoalescedUnits.Add(int64(len(g.units) - 1))
 		}
 		select {
 		case work <- g:
@@ -926,9 +904,8 @@ func (fs *FS) landed(units []*unit, park bool, cmds, segs int, bytes int64) {
 // NextBatch to copy from; for a lookahead round (park true) in one pool
 // buffer, u.raw, which its caller parks in the store. One command may
 // carry both kinds. Prep builds the scatter list, post puts one vectored
-// command on the target's next queue pair (or one command per segment in
-// NoCoalesce mode), poll waits. The target's breaker gates the fetch; on
-// failure the units hold nothing.
+// command on the target's next queue pair, poll waits. The target's
+// breaker gates the fetch; on failure the units hold nothing.
 func (fs *FS) fetchWire(units []*unit, park bool) error {
 	tg := fs.targets[units[0].node]
 	if !tg.brk.Allow() {
@@ -985,23 +962,11 @@ func (fs *FS) fetchWire(units []*unit, park bool) error {
 		}
 	}
 	post := time.Now()
-	var pendings []*nvmetcp.RePending
-	var err error
-	if fs.cfg.NoCoalesce {
-		for _, s := range segs {
-			var pd *nvmetcp.RePending
-			if pd, err = tg.qp.ReadAsync(s.Dst, s.Off); err != nil {
-				break
-			}
-			pendings = append(pendings, pd)
-		}
-	} else if pd, perr := tg.qp.ReadVecAsync(segs); perr != nil {
-		err = perr
-	} else {
-		pendings = append(pendings, pd)
-	}
+	pd, err := tg.qp.ReadVecAsync(segs)
 	poll := time.Now()
-	err = waitAll(pendings, err)
+	if err == nil {
+		_, err = pd.Wait()
+	}
 	fs.observeStages(park, prep, post, poll)
 	if err != nil {
 		for _, u := range units {
@@ -1010,7 +975,7 @@ func (fs *FS) fetchWire(units []*unit, park bool) error {
 		tg.noteFailure(err)
 		return err
 	}
-	fs.landed(units, park, len(pendings), len(segs), bytes)
+	fs.landed(units, park, 1, len(segs), bytes)
 	tg.brk.Success()
 	return nil
 }
@@ -1024,19 +989,19 @@ func (fs *FS) assemblyTransform() byte {
 	return byte(fs.cfg.AssemblyTransform)
 }
 
-// postSamples submits segs as one or more opReadSamples commands under
-// the configured per-command descriptor cap, returning every in-flight
+// assemblySamplesPerCmd is how many sample descriptors one offload
+// command carries, an eighth of the protocol's nvmetcp.MaxSampleDescs.
+const assemblySamplesPerCmd = 512
+
+// postSamples submits segs as one or more opReadSamples commands of at
+// most assemblySamplesPerCmd descriptors, returning every in-flight
 // pending. On a submission error the already-submitted pendings are
 // still returned — the caller must Wait them before touching the
 // destination buffers.
 func (fs *FS) postSamples(tg *target, xform byte, segs []nvmetcp.SampleSeg) ([]*nvmetcp.RePending, error) {
-	per := fs.cfg.AssemblySamplesPerCmd
-	if per <= 0 || per > nvmetcp.MaxSampleDescs {
-		per = nvmetcp.MaxSampleDescs
-	}
-	pendings := make([]*nvmetcp.RePending, 0, (len(segs)+per-1)/per)
-	for lo := 0; lo < len(segs); lo += per {
-		pd, err := tg.qp.ReadSamplesAsync(xform, segs[lo:min(lo+per, len(segs))], nil)
+	pendings := make([]*nvmetcp.RePending, 0, (len(segs)+assemblySamplesPerCmd-1)/assemblySamplesPerCmd)
+	for lo := 0; lo < len(segs); lo += assemblySamplesPerCmd {
+		pd, err := tg.qp.ReadSamplesAsync(xform, segs[lo:min(lo+assemblySamplesPerCmd, len(segs))], nil)
 		if err != nil {
 			return pendings, err
 		}

@@ -216,7 +216,7 @@ func TestServerAssemblyPrefetchWarmsNextEpoch(t *testing.T) {
 func TestClusterPrefetchConsultsPeersFirst(t *testing.T) {
 	const world = 2
 	addrs := startTargets(t, world)
-	caddr := startCoord(t, world)
+	peers := startCoord(t, world)
 	ds := testDS(60, 2000)
 	cfg := Config{
 		ChunkSize:          8 << 10,
@@ -226,7 +226,7 @@ func TestClusterPrefetchConsultsPeersFirst(t *testing.T) {
 		ServerAssembly:     true,
 		CrossEpochPrefetch: true,
 	}
-	fss := mountCluster(t, caddr, addrs, ds, cfg)
+	fss := mountClusterPeers(t, peers, addrs, ds, cfg)
 
 	// Warm every owner's read cache so the peer service has records to
 	// serve (the service fronts the read cache, not the target).

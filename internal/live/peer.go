@@ -50,7 +50,7 @@ func (ps *peerSet) close() {
 // startPeerCache hosts this rank's share of the cooperative cache and
 // exchanges service addresses with the other ranks (one extra allgather
 // on the mount path). Called by mountWithSession after the FS is built.
-func (fs *FS) startPeerCache(cl coord.Session) error {
+func (fs *FS) startPeerCache(cl *coord.ClusterClient) error {
 	opt := peercache.Options{
 		DialTimeout:    fs.cfg.PeerFetchTimeout,
 		RequestTimeout: fs.cfg.PeerFetchTimeout,

@@ -30,7 +30,7 @@ func readAllVerify(t *testing.T, fs *FS, ds *dataset.Dataset) {
 func TestClusterPeerCacheOncePerCluster(t *testing.T) {
 	const world = 3
 	addrs := startTargets(t, world)
-	caddr := startCoord(t, world)
+	peers := startCoord(t, world)
 	ds := testDS(90, 2000)
 	cfg := Config{
 		ChunkSize:      8 << 10,
@@ -38,7 +38,7 @@ func TestClusterPeerCacheOncePerCluster(t *testing.T) {
 		ReadCacheBytes: 32 << 20, // hold the whole dataset: no evictions
 		PeerCache:      true,
 	}
-	fss := mountCluster(t, caddr, addrs, ds, cfg)
+	fss := mountClusterPeers(t, peers, addrs, ds, cfg)
 
 	var total int64
 	for i := 0; i < ds.Len(); i++ {
@@ -93,7 +93,7 @@ func TestClusterPeerCacheOncePerCluster(t *testing.T) {
 func TestChaosPeerKilledMidFetch(t *testing.T) {
 	const world = 2
 	addrs := startTargets(t, world)
-	caddr := startCoord(t, world)
+	peers := startCoord(t, world)
 	ds := testDS(60, 1500)
 	cfg := Config{
 		ChunkSize:        8 << 10,
@@ -102,7 +102,7 @@ func TestChaosPeerKilledMidFetch(t *testing.T) {
 		PeerCache:        true,
 		PeerFetchTimeout: 300 * time.Millisecond,
 	}
-	fss := mountCluster(t, caddr, addrs, ds, cfg)
+	fss := mountClusterPeers(t, peers, addrs, ds, cfg)
 	reader, victim := fss[0], fss[1]
 
 	// Samples owned by the victim rank, as seen from the reader.
@@ -164,9 +164,9 @@ func TestChaosPeerKilledMidFetch(t *testing.T) {
 func TestClusterPeerCacheOffByDefault(t *testing.T) {
 	const world = 2
 	addrs := startTargets(t, world)
-	caddr := startCoord(t, world)
+	peers := startCoord(t, world)
 	ds := testDS(30, 1000)
-	fss := mountCluster(t, caddr, addrs, ds, Config{})
+	fss := mountClusterPeers(t, peers, addrs, ds, Config{})
 	for _, fs := range fss {
 		if fs.peers != nil || fs.Stats().PeerAddr != "" {
 			t.Fatalf("rank %d hosts a peer service without PeerCache", fs.Rank())

@@ -197,15 +197,6 @@ func (s *prefetchStore) drain() {
 	s.mu.Unlock()
 }
 
-// nextSeed predicts the next epoch's seed (Config.NextEpochSeed,
-// default seed+1 — the conventional per-epoch reseed).
-func (fs *FS) nextSeed(seed int64) int64 {
-	if fs.cfg.NextEpochSeed != nil {
-		return fs.cfg.NextEpochSeed(seed)
-	}
-	return seed + 1
-}
-
 // maybePrefetch launches one background prefetch round for the
 // predicted epoch (seed, rank, world) unless a round is already
 // running. Called once the current epoch's groups are all fetched.

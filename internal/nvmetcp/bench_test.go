@@ -39,19 +39,15 @@ func BenchmarkReadAt(b *testing.B) {
 	}
 }
 
-// BenchmarkTargetServe measures server-side serving throughput across
-// the engine matrix: the legacy per-command-goroutine staged baseline
-// against the RPQ/SCQ worker-pool engine with staged and zero-copy
-// payloads, at increasing client queue depths. The acceptance bound is
-// zero-copy + writev >= 2x the legacy baseline in served bytes/sec at
-// depth >= 64.
+// BenchmarkTargetServe measures server-side serving throughput of the
+// RPQ/SCQ worker-pool engine across worker counts and client queue
+// depths. The last numbers of the goroutine-per-command engine and of
+// the staged-payload mode it replaced are in CHANGES.md (PR 18).
 func BenchmarkTargetServe(b *testing.B) {
 	engines := []struct {
 		name string
 		cfg  Config
 	}{
-		{"legacy_goroutine_staged", Config{PerCmdGoroutines: true}},
-		{"pool_w4_staged", Config{Workers: 4, NoZeroCopy: true}},
 		{"pool_w1_zerocopy", Config{Workers: 1}},
 		{"pool_w4_zerocopy", Config{Workers: 4}},
 		{"pool_w8_zerocopy", Config{Workers: 8}},

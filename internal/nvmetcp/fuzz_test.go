@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"dlfs/internal/blockdev"
 )
 
 // corruptSeeds builds the chaos-style corruption corpus: valid frames
@@ -200,13 +202,15 @@ func FuzzTenantFrame(f *testing.F) {
 }
 
 // FuzzWriteFrame throws arbitrary opWriteVec request frames at the
-// gathered-write decoder — the caps-before-alloc gate between the wire
-// and the store's write path. Invariants: the decoder never panics and
-// never allocates descriptors past maxVecSegs; anything it accepts has a
-// positive in-cap count, nonzero int32-positive extent lengths, a
-// descriptor sum exactly matching the trailing data bytes, and
-// re-encodes byte-identically; and reserved tenant bits on the frame are
-// still rejected before any write-side state is touched.
+// target's gathered-write ingest (readRequest, then execute) — the
+// caps-before-alloc gate between the wire and the store's write path.
+// Invariants: ingest never panics and never allocates descriptors past
+// maxVecSegs; anything it accepts has a positive in-cap count, nonzero
+// int32-positive extent lengths inside the device, one buffer per
+// extent of exactly its length, and re-encodes byte-identically; what it
+// accepts lands, everything else (an empty frame included) completes
+// with an error status; and reserved tenant bits on the frame are still
+// rejected before any write-side state is touched.
 func FuzzWriteFrame(f *testing.F) {
 	mk := func(tenant byte, payload []byte) []byte {
 		var b bytes.Buffer
@@ -248,38 +252,58 @@ func FuzzWriteFrame(f *testing.F) {
 		f.Add(s)
 	}
 
+	const capacity = 4 << 20
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := readCapsule(bytes.NewReader(data))
+		// What a connection's reader and a worker run on every frame, on
+		// a target with no goroutines and an empty store: one exec leaves
+		// nothing behind for the next.
+		tgt := &Target{store: blockdev.New(capacity), cfg: Config{}.withDefaults()}
+		req, err := tgt.readRequest(bytes.NewReader(data), make([]byte, capsuleHeaderSize))
 		if err != nil {
 			return
 		}
+		defer releaseRequest(req)
 		if req.status > MaxTenantID && classifyTenant(req.status, MaxTenantID+1) != statusTenant {
 			t.Fatalf("reserved-bit tenant %#x reached the write path", req.status)
 		}
 		if req.opcode != opWriteVec {
 			return
 		}
-		segs, body, derr := decodeWriteVec(req.payload)
-		if derr != nil {
-			return
-		}
-		if len(segs) == 0 || len(segs) > maxVecSegs {
-			t.Fatalf("accepted %d descriptors", len(segs))
-		}
-		sum := 0
-		for i, s := range segs {
-			if s.n == 0 || int32(s.n) < 0 {
-				t.Fatalf("accepted extent %d length %d", i, int32(s.n))
+		accepted := req.vecStatus == 0 && req.vecs != nil
+		if accepted {
+			segs := req.vsegs
+			if len(segs) == 0 || len(segs) > maxVecSegs || len(req.vecs) != len(segs) {
+				t.Fatalf("accepted %d descriptors, %d buffers", len(segs), len(req.vecs))
 			}
-			sum += int(s.n)
+			sum := 0
+			for i, s := range segs {
+				if s.n == 0 || int32(s.n) < 0 || len(req.vecs[i]) != int(s.n) {
+					t.Fatalf("accepted extent %d length %d in a %d-byte buffer", i, int32(s.n), len(req.vecs[i]))
+				}
+				if int64(s.off) < 0 || int64(s.off)+int64(s.n) > capacity {
+					t.Fatalf("accepted extent %d at %d+%d outside the device", i, s.off, s.n)
+				}
+				sum += int(s.n)
+			}
+			payload := data[capsuleHeaderSize:]
+			descEnd := writeVecHdrSize + len(segs)*vecSegSize
+			if want := int(binary.LittleEndian.Uint32(data[22:26])) - descEnd; sum != want {
+				t.Fatalf("descriptor sum %d != %d gathered bytes", sum, want)
+			}
+			// Accepted frames must re-encode byte-identically.
+			again := make([]byte, descEnd)
+			if n := encodeWriteVec(again, segs); !bytes.Equal(again[:n], payload[:n]) {
+				t.Fatal("re-encode diverged from accepted frame")
+			}
 		}
-		if sum != len(body) {
-			t.Fatalf("descriptor sum %d != %d gathered bytes", sum, len(body))
+		comp := tgt.execute(req)
+		status := comp.hdr[13]
+		recycleCompletion(&comp)
+		if accepted != (status == statusOK) {
+			t.Fatalf("ingest accepted=%v but the command completed with status %d", accepted, status)
 		}
-		// Accepted frames must re-encode byte-identically.
-		again := make([]byte, writeVecHdrSize+len(segs)*vecSegSize)
-		if n := encodeWriteVec(again, segs); !bytes.Equal(again[:n], req.payload[:n]) {
-			t.Fatal("re-encode diverged from accepted frame")
+		if len(data) == capsuleHeaderSize && status != statusBadOp {
+			t.Fatalf("empty opWriteVec frame completed with status %d, want statusBadOp", status)
 		}
 	})
 }

@@ -295,38 +295,6 @@ func TestTargetServesReadsZeroCopy(t *testing.T) {
 	}
 }
 
-// TestTargetStagedModeMatches drives the same traffic with zero-copy off
-// and checks both the payloads and the staged accounting.
-func TestTargetStagedModeMatches(t *testing.T) {
-	data := patterned(64 << 10)
-	store := blockdev.New(int64(len(data)))
-	if _, err := store.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	tgt := NewTargetConfig(store, Config{Depth: 16, NoZeroCopy: true})
-	addr, err := tgt.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tgt.Close() }) //nolint:errcheck
-	in, err := Connect(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close() //nolint:errcheck
-	buf := make([]byte, 8192)
-	if _, err := in.ReadAt(buf, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, data[4096:4096+8192]) {
-		t.Fatal("staged read corrupt")
-	}
-	st := tgt.ServerStats()
-	if st.ZeroCopyBytes != 0 || st.StagedBytes != 8192 {
-		t.Fatalf("staged mode accounting zero-copy=%d staged=%d", st.ZeroCopyBytes, st.StagedBytes)
-	}
-}
-
 // TestRestageAfterWriteEpochChange exercises the seqlock fallback
 // directly: a completion whose view was captured before an overwrite
 // must be re-staged into a consistent copy of the *current* contents.
@@ -338,7 +306,7 @@ func TestRestageAfterWriteEpochChange(t *testing.T) {
 	tgt := NewTargetConfig(store, Config{})
 	defer tgt.Close() //nolint:errcheck
 
-	comp := tgt.execute(&capsule{opcode: opRead, payload: []byte{0, 16, 0, 0}}, true) // 4096 bytes at 0
+	comp := tgt.execute(&capsule{opcode: opRead, payload: []byte{0, 16, 0, 0}}) // 4096 bytes at 0
 	if comp.view == nil {
 		t.Fatal("execute did not build a view")
 	}
@@ -371,7 +339,7 @@ func TestRestageAfterWriteEpochChange(t *testing.T) {
 	segs := []vecSeg{{off: 100, n: 1000}, {off: extentBoundary - 3000, n: 5000}}
 	req := make([]byte, sampleHdrSize+len(segs)*sampleDescSize)
 	encodeSampleList(req, TransformCRC32C, segs)
-	comp = tgt.execute(&capsule{opcode: opReadSamples, payload: req}, true)
+	comp = tgt.execute(&capsule{opcode: opReadSamples, payload: req})
 	if comp.view == nil || comp.aux == nil || tgt.ServerStats().StagedBytes != 0 {
 		t.Fatal("crc32c sample read was not served from views")
 	}
@@ -425,37 +393,6 @@ func checkSampleResponse(t *testing.T, what string, resp []byte, wantN int, segs
 			t.Fatalf("%s record %d: body is not all %#x", what, i, fill[i])
 		}
 		pos += outn
-	}
-}
-
-// TestLegacyEngineRoundTrip keeps the per-command-goroutine baseline
-// path working (it anchors BenchmarkTargetServe).
-func TestLegacyEngineRoundTrip(t *testing.T) {
-	store := blockdev.New(1 << 20)
-	tgt := NewTargetConfig(store, Config{Depth: 8, PerCmdGoroutines: true})
-	addr, err := tgt.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tgt.Close() }) //nolint:errcheck
-	in, err := Connect(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close() //nolint:errcheck
-	data := []byte("legacy data path")
-	if _, err := in.WriteAt(data, 512); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(data))
-	if _, err := in.ReadAt(got, 512); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("legacy round trip: %q", got)
-	}
-	if st := tgt.ServerStats(); st.ZeroCopyBytes != 0 || st.StagedBytes != int64(len(data)) {
-		t.Fatalf("legacy accounting zero-copy=%d staged=%d", st.ZeroCopyBytes, st.StagedBytes)
 	}
 }
 

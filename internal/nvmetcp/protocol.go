@@ -169,17 +169,11 @@ func writeCapsuleHdr(w io.Writer, c *capsule, hdr []byte) error {
 	return nil
 }
 
-// readCapsule reads one frame from r, allocating scratch and payload.
-// Hot paths reuse a header and pool payloads through readCapsuleHdr.
+// readCapsule reads one frame from r, allocating scratch and payload:
+// the handshake path. The target's command loop ingests through
+// readRequest, the initiator's receive loop through its own scratch.
 func readCapsule(r io.Reader) (*capsule, error) {
-	return readCapsuleHdr(r, make([]byte, capsuleHeaderSize), func(n int) []byte { return make([]byte, n) })
-}
-
-// readCapsuleHdr reads one frame using the caller's header scratch and
-// payload allocator (e.g. a bufpool Get). The caller owns returning
-// pooled payloads once the capsule is consumed.
-func readCapsuleHdr(r io.Reader, hdr []byte, alloc func(int) []byte) (*capsule, error) {
-	hdr = hdr[:capsuleHeaderSize]
+	hdr := make([]byte, capsuleHeaderSize)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
@@ -197,7 +191,7 @@ func readCapsuleHdr(r io.Reader, hdr []byte, alloc func(int) []byte) (*capsule, 
 		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
 	if n > 0 {
-		c.payload = alloc(int(n))
+		c.payload = make([]byte, n)
 		if _, err := io.ReadFull(r, c.payload); err != nil {
 			return nil, err
 		}
@@ -361,45 +355,4 @@ func encodeWriteVec(dst []byte, segs []vecSeg) int {
 		p += vecSegSize
 	}
 	return p
-}
-
-// decodeWriteVec parses an opWriteVec request payload and returns the
-// descriptors plus the gathered data bytes that follow them. Mirroring
-// decodeSampleList, every bound — descriptor count, per-extent length,
-// and the exact match between the descriptor total and the trailing
-// data — is enforced before the descriptor slice is allocated, so a
-// corrupt count cannot drive a huge allocation and a short payload can
-// never alias bytes outside the frame.
-func decodeWriteVec(payload []byte) (segs []vecSeg, data []byte, err error) {
-	if len(payload) < writeVecHdrSize {
-		return nil, nil, ErrShortFrame
-	}
-	n := int(binary.LittleEndian.Uint32(payload[0:4]))
-	if n <= 0 || n > maxVecSegs || len(payload) < writeVecHdrSize+n*vecSegSize {
-		return nil, nil, fmt.Errorf("%w: write-vec count %d payload %d", ErrShortFrame, n, len(payload))
-	}
-	descEnd := writeVecHdrSize + n*vecSegSize
-	want := len(payload) - descEnd // gathered data bytes the frame actually carries
-	segs = make([]vecSeg, n)
-	total := 0
-	p := writeVecHdrSize
-	for i := 0; i < n; i++ {
-		segs[i] = vecSeg{
-			off: binary.LittleEndian.Uint64(payload[p : p+8]),
-			n:   binary.LittleEndian.Uint32(payload[p+8 : p+12]),
-		}
-		ln := segs[i].n
-		if ln == 0 || int32(ln) < 0 {
-			return nil, nil, fmt.Errorf("%w: write-vec extent %d length %d", ErrShortFrame, i, int32(ln))
-		}
-		total += int(ln)
-		if total > want {
-			return nil, nil, fmt.Errorf("%w: write-vec total %d exceeds %d data bytes", ErrShortFrame, total, want)
-		}
-		p += vecSegSize
-	}
-	if total != want {
-		return nil, nil, fmt.Errorf("%w: write-vec total %d != %d data bytes", ErrShortFrame, total, want)
-	}
-	return segs, payload[descEnd:], nil
 }

@@ -65,11 +65,6 @@ func (g *QPGroup) ReadAt(p []byte, off int64) (int, error) { return g.pick().Rea
 // WriteAt writes p at off on the next queue pair in the stripe.
 func (g *QPGroup) WriteAt(p []byte, off int64) (int, error) { return g.pick().WriteAt(p, off) }
 
-// ReadAsync submits a pipelined read on the next queue pair.
-func (g *QPGroup) ReadAsync(dst []byte, off int64) (*RePending, error) {
-	return g.pick().ReadAsync(dst, off)
-}
-
 // ReadVecAsync submits a pipelined vectored read on the next queue pair.
 func (g *QPGroup) ReadVecAsync(segs []Seg) (*RePending, error) {
 	return g.pick().ReadVecAsync(segs)

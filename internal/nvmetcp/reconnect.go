@@ -269,33 +269,26 @@ func (r *Reconnector) ReadSamples(xform byte, segs []SampleSeg, lens []int) (int
 	return n, err
 }
 
-// RePending is an in-flight asynchronous read through a Reconnector.
+// RePending is an in-flight asynchronous command through a Reconnector.
 // Wait falls back to the retrying synchronous path when the pipelined
 // submission failed or its completion is lost.
 type RePending struct {
 	r     *Reconnector
 	in    *Initiator
 	pd    *Pending
-	dst   []byte
-	off   int64
+	off   int64       // device offset of a single write
 	segs  []Seg       // non-nil for vectored reads
 	smp   []SampleSeg // non-nil for server-assembled reads
 	lens  []int
 	xform byte
-	wsrc  []byte // non-nil for single writes (recovery re-sends from it)
+	wsrc  []byte // single writes (recovery re-sends from it)
 	wsegs []WSeg // non-nil for gathered writes
 }
 
-// ReadAsync submits a pipelined read. A retryable submission failure is
-// deferred: the returned RePending recovers in Wait via the retrying
-// ReadAt. Non-retryable failures return immediately.
-func (r *Reconnector) ReadAsync(dst []byte, off int64) (*RePending, error) {
-	rp := &RePending{r: r, dst: dst, off: off}
-	return r.startAsync(rp, func(in *Initiator) (*Pending, error) { return in.ReadAsync(dst, off) })
-}
-
 // ReadVecAsync submits a pipelined vectored read covering every segment.
-// Retryable failures recover in Wait via the reconnecting ReadVec.
+// A retryable submission failure is deferred: the returned RePending
+// recovers in Wait via the reconnecting ReadVec. Non-retryable failures
+// return immediately.
 func (r *Reconnector) ReadVecAsync(segs []Seg) (*RePending, error) {
 	rp := &RePending{r: r, segs: segs}
 	return r.startAsync(rp, func(in *Initiator) (*Pending, error) { return in.ReadVecAsync(segs) })
@@ -341,7 +334,7 @@ func (r *Reconnector) startAsync(rp *RePending, start func(*Initiator) (*Pending
 	return rp, nil
 }
 
-// Wait completes the read, recovering retryable failures through the
+// Wait completes the command, recovering retryable failures through the
 // reconnecting synchronous path.
 func (rp *RePending) Wait() (int, error) {
 	if rp.pd != nil {
@@ -365,10 +358,7 @@ func (rp *RePending) Wait() (int, error) {
 	if rp.wsegs != nil {
 		return rp.r.WriteVec(rp.wsegs)
 	}
-	if rp.wsrc != nil {
-		return rp.r.WriteAt(rp.wsrc, rp.off)
-	}
-	return rp.r.ReadAt(rp.dst, rp.off)
+	return rp.r.WriteAt(rp.wsrc, rp.off)
 }
 
 // Close retires the wrapper; subsequent operations fail with ErrClosed.

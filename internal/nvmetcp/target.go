@@ -74,20 +74,11 @@ type Config struct {
 	// Default 30s; negative disables.
 	WriteTimeout time.Duration
 
-	// NoZeroCopy stages read payloads through the buffer pool instead of
-	// serving store views — the A/B switch for the zero-copy read path.
-	NoZeroCopy bool
-
 	// StageHistograms records per-stage latency distributions
 	// (qwait/service/flush) into metrics.ServerHist in addition to the
 	// always-on counters. Off by default: the disabled path adds nothing
 	// beyond the existing counter arithmetic.
 	StageHistograms bool
-
-	// PerCmdGoroutines restores the pre-engine data path: one goroutine
-	// per command, staged payloads, one mutex-serialised socket write
-	// per completion. Kept as the benchmark baseline only.
-	PerCmdGoroutines bool
 
 	// LegacyOps rejects opReadSamples, opWriteVec and opFlush with
 	// statusBadOp, emulating an older target in rolling-upgrade tests: a
@@ -190,7 +181,7 @@ type rpqItem struct {
 type completion struct {
 	hdr    []byte
 	view   [][]byte // segments aliasing store memory (reads, zero-copy)
-	staged []byte   // pooled copy (writes staged mode / view fallback)
+	staged []byte   // pooled copy (transforms that build their output / view fallback)
 	aux    []byte   // pooled length block leading view, then the records' trailers (opReadSamples)
 	xform  byte     // transform the view was assembled under (opReadSamples)
 	epoch  uint64   // store write epoch when view was captured
@@ -359,12 +350,6 @@ func (t *Target) serveConn(conn net.Conn) {
 	}
 	if err := writeCapsule(conn, reply); err != nil {
 		cleanup()
-		return
-	}
-
-	if t.cfg.PerCmdGoroutines {
-		defer cleanup()
-		t.serveLegacy(conn)
 		return
 	}
 
@@ -597,7 +582,7 @@ func (t *Target) worker() {
 			continue
 		}
 		start := time.Now()
-		comp := t.execute(it.req, !t.cfg.NoZeroCopy)
+		comp := t.execute(it.req)
 		releaseRequest(it.req)
 		service := time.Since(start)
 		t.srv.ObserveService(service)
@@ -620,7 +605,7 @@ func (t *Target) completeFlush(it rpqItem) {
 	waited := it.tc.awaitWrites(it.barrier)
 	t.srv.ObserveFlushWait(waited)
 	start := time.Now()
-	comp := t.execute(it.req, false)
+	comp := t.execute(it.req)
 	releaseRequest(it.req)
 	service := time.Since(start)
 	t.srv.ObserveService(service)
@@ -953,9 +938,9 @@ func readLen(p []byte) (int, byte) {
 }
 
 // execute serves one command and returns its completion, with read
-// payloads as zero-copy store views when zeroCopy is set and pooled
-// staged copies otherwise.
-func (t *Target) execute(req *capsule, zeroCopy bool) completion {
+// payloads as zero-copy store views (the flusher re-stages a view whose
+// extents were written since).
+func (t *Target) execute(req *capsule) completion {
 	comp := completion{hdr: hdrPool.Get().([]byte)}
 	status := statusOK
 	switch req.opcode {
@@ -965,24 +950,13 @@ func (t *Target) execute(req *capsule, zeroCopy bool) completion {
 			status = st
 			break
 		}
-		if zeroCopy {
-			view, epoch, err := t.store.View(int64(req.offset), want, nil)
-			if err != nil {
-				status = statusRange
-				break
-			}
-			comp.view, comp.epoch, comp.off = view, epoch, req.offset
-			t.srv.ZeroCopyBytes.Add(int64(want))
-		} else {
-			buf := bufpool.Shared.Get(want)
-			if _, err := t.store.ReadAt(buf, int64(req.offset)); err != nil {
-				bufpool.Shared.Put(buf)
-				status = statusRange
-				break
-			}
-			comp.staged = buf
-			t.srv.StagedBytes.Add(int64(want))
+		view, epoch, err := t.store.View(int64(req.offset), want, nil)
+		if err != nil {
+			status = statusRange
+			break
 		}
+		comp.view, comp.epoch, comp.off = view, epoch, req.offset
+		t.srv.ZeroCopyBytes.Add(int64(want))
 		comp.n = want
 		t.bytes.Add(int64(want))
 		t.reads.Add(1)
@@ -992,32 +966,21 @@ func (t *Target) execute(req *capsule, zeroCopy bool) completion {
 			status = statusBadOp
 			break
 		}
-		if zeroCopy {
-			// One epoch for the whole scatter list: any write between
-			// here and the flush re-stages every segment.
-			epoch := t.store.WriteEpoch()
-			var view [][]byte
-			for _, s := range segs {
-				if view, _, err = t.store.View(int64(s.off), int(s.n), view); err != nil {
-					status = statusRange
-					break
-				}
-			}
-			if status != statusOK {
-				break
-			}
-			comp.view, comp.epoch, comp.vsegs = view, epoch, segs
-			t.srv.ZeroCopyBytes.Add(int64(total))
-		} else {
-			buf := bufpool.Shared.Get(total)
-			if err := t.readSegs(buf[:total], segs); err != nil {
-				bufpool.Shared.Put(buf)
+		// One epoch for the whole scatter list: any write between here
+		// and the flush re-stages every segment.
+		epoch := t.store.WriteEpoch()
+		var view [][]byte
+		for _, s := range segs {
+			if view, _, err = t.store.View(int64(s.off), int(s.n), view); err != nil {
 				status = statusRange
 				break
 			}
-			comp.staged = buf
-			t.srv.StagedBytes.Add(int64(total))
 		}
+		if status != statusOK {
+			break
+		}
+		comp.view, comp.epoch, comp.vsegs = view, epoch, segs
+		t.srv.ZeroCopyBytes.Add(int64(total))
 		comp.n = total
 		t.bytes.Add(int64(total))
 		t.vecReads.Add(1)
@@ -1038,7 +1001,7 @@ func (t *Target) execute(req *capsule, zeroCopy bool) completion {
 			break
 		}
 		count := len(segs)
-		viewable := zeroCopy && (xform == TransformNone || xform == TransformCRC32C)
+		viewable := xform == TransformNone || xform == TransformCRC32C
 		if !viewable || !t.assembleViews(&comp, xform, segs, total) {
 			out, n, st := t.assembleStaged(xform, segs)
 			if st != statusOK {
@@ -1075,50 +1038,32 @@ func (t *Target) execute(req *capsule, zeroCopy bool) completion {
 			status = req.vecStatus
 			break
 		}
-		var total, nsegs, adopted int
+		if req.vecs == nil {
+			// An empty frame: nothing was ingested, there is nothing to land.
+			status = statusBadOp
+			break
+		}
+		// Per-segment pooled buffers from ingest. Aligned segments are
+		// adopted as extent backing — no landing copy — and the store
+		// hands back every buffer it did not keep (copied inputs,
+		// displaced extents) for recycling.
 		start := time.Now()
-		if req.vecs != nil {
-			// Engine ingest: per-segment pooled buffers. Aligned segments
-			// are adopted as extent backing — no landing copy — and the
-			// store hands back every buffer it did not keep (copied
-			// inputs, displaced extents) for recycling.
-			offs := make([]int64, len(req.vsegs))
-			for i, s := range req.vsegs {
-				offs[i] = int64(s.off)
-			}
-			n, ad, recycle, err := t.store.WriteVecAdoptSegs(req.vecs, offs)
-			if err != nil {
-				status = statusRange
-				break
-			}
-			req.vecs = nil // ownership resolved: adopted by store or recycled here
-			for _, b := range recycle {
-				bufpool.Shared.Put(b)
-			}
-			total, nsegs, adopted = n, len(req.vsegs), ad
-		} else {
-			// Legacy per-command-goroutine path: one contiguous payload.
-			segs, data, err := decodeWriteVec(req.payload)
-			if err != nil {
-				status = statusBadOp
-				break
-			}
-			offs, lens := segRanges(segs)
-			n, ad, err := t.store.WriteVecAdopt(data, offs, lens)
-			if err != nil {
-				status = statusRange
-				break
-			}
-			if ad > 0 {
-				// Sub-slices of this payload are now extent backing: the
-				// buffer is transferred and must never return to the pool.
-				req.payload = nil
-			}
-			total, nsegs, adopted = n, len(segs), ad
+		offs := make([]int64, len(req.vsegs))
+		for i, s := range req.vsegs {
+			offs[i] = int64(s.off)
+		}
+		total, adopted, recycle, err := t.store.WriteVecAdoptSegs(req.vecs, offs)
+		if err != nil {
+			status = statusRange
+			break
+		}
+		req.vecs = nil // ownership resolved: adopted by store or recycled here
+		for _, b := range recycle {
+			bufpool.Shared.Put(b)
 		}
 		t.srv.ObserveWrite(int64(total), time.Since(start))
 		t.srv.VecWriteCmds.Add(1)
-		t.srv.VecWriteSegs.Add(int64(nsegs))
+		t.srv.VecWriteSegs.Add(int64(len(req.vsegs)))
 		t.srv.AdoptedExtents.Add(int64(adopted))
 		t.bytes.Add(int64(total))
 		t.writes.Add(1)
@@ -1143,55 +1088,6 @@ func (t *Target) execute(req *capsule, zeroCopy bool) completion {
 	encodeHdr(comp.hdr, req.cmdID, req.opcode, status, 0, comp.n)
 	t.served.Add(1)
 	return comp
-}
-
-// serveLegacy is the pre-engine data path — goroutine per command,
-// staged payloads, one serialised write per completion — retained as the
-// benchmark baseline for the RPQ/SCQ engine.
-func (t *Target) serveLegacy(conn net.Conn) {
-	var wmu sync.Mutex // serialises response frames
-	sem := make(chan struct{}, t.cfg.Depth)
-	rhdr := make([]byte, capsuleHeaderSize)
-	var cwg sync.WaitGroup
-	defer cwg.Wait()
-	dead := &atomic.Bool{}
-	for {
-		req, err := readCapsuleHdr(conn, rhdr, bufpool.Shared.Get)
-		if err != nil {
-			if errors.Is(err, ErrBadMagic) || errors.Is(err, ErrTooLarge) {
-				t.malformed.Add(1)
-				log.Printf("nvmetcp: dropping connection: %v", err)
-			}
-			return
-		}
-		sem <- struct{}{}
-		cwg.Add(1)
-		go func(req *capsule) {
-			defer cwg.Done()
-			defer func() { <-sem }()
-			comp := t.execute(req, false)
-			releaseRequest(req)
-			wmu.Lock()
-			var err error
-			if dead.Load() {
-				err = net.ErrClosed // sibling saw the write fail; don't write to a dead conn
-			} else {
-				// Old wire shape: header and payload as separate writes.
-				if _, err = conn.Write(comp.hdr); err == nil && comp.staged != nil {
-					_, err = conn.Write(comp.staged)
-				}
-				if err != nil {
-					dead.Store(true)
-				}
-			}
-			wmu.Unlock()
-			recycleCompletion(&comp)
-			if err != nil {
-				t.aborted.Add(1)
-				conn.Close() //nolint:errcheck
-			}
-		}(req)
-	}
 }
 
 // Close stops the listener and all connections, waiting for readers and

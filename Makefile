@@ -96,7 +96,8 @@ bench-tenants:
 # CI smoke: prove the benchmarks still compile and run one iteration,
 # without paying for a real measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkLiveEpoch' -benchtime=1x -count=1 ./internal/live
+	$(GO) test -run '^$$' -bench 'BenchmarkLiveEpoch|BenchmarkEmitSmall' -benchtime=1x -count=1 ./internal/live
+	$(GO) test -run '^$$' -bench 'BenchmarkGetPut' -benchtime=1x -count=1 ./internal/bufpool
 	$(GO) test -run '^$$' -bench 'BenchmarkTargetServe' -benchtime=1x -count=1 ./internal/nvmetcp
 
 # CI smoke: give each fuzz target 10s on the saved corpus plus fresh

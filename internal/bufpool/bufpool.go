@@ -5,12 +5,25 @@
 // handed out from power-of-two size classes backed by sync.Pool, so the
 // steady-state hot path performs no heap allocation and generates no
 // garbage.
+//
+// That includes the pool's own bookkeeping. A sync.Pool holds interface
+// values, and putting a slice into one boxes its 24-byte header on the
+// heap: an allocation per recycled buffer. A class only ever holds
+// buffers of its own capacity, so the pool stores the pointer to a
+// buffer's first byte, which an interface carries without boxing, and Get
+// rebuilds the slice from it and the class size. The classes stay
+// sync.Pools, so the GC still drains what a quiet phase leaves behind.
+// (The alternative, recycling the boxes through a second sync.Pool, also
+// allocates nothing but doubles the pool operations: 34 ns against 16 ns
+// per Get+Put pair when the two were benchmarked side by side, DESIGN.md
+// §9.)
 package bufpool
 
 import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 const (
@@ -66,8 +79,7 @@ func (p *Pool) Get(n int) []byte {
 	}
 	if v := p.classes[c].Get(); v != nil {
 		p.hits.Add(1)
-		b := *(v.(*[]byte))
-		return b[:n]
+		return unsafe.Slice(v.(*byte), 1<<(minClassBits+c))[:n]
 	}
 	p.misses.Add(1)
 	return make([]byte, 1<<(minClassBits+c))[:n]
@@ -81,9 +93,8 @@ func (p *Pool) Put(b []byte) {
 	if c == 0 || c&(c-1) != 0 || c < 1<<minClassBits || c > 1<<maxClassBits {
 		return
 	}
-	b = b[:c]
 	p.puts.Add(1)
-	p.classes[classFor(c)].Put(&b)
+	p.classes[classFor(c)].Put(unsafe.SliceData(b))
 }
 
 // Stats reports pool traffic: hits (Get served from the pool), misses

@@ -38,6 +38,23 @@ func TestRecycleHit(t *testing.T) {
 	}
 }
 
+// TestGetPutDoesNotAllocate pins the package comment's promise for every
+// class: once a class holds a buffer, a Get+Put pair allocates nothing,
+// not even the box a slice in a sync.Pool would cost.
+func TestGetPutDoesNotAllocate(t *testing.T) {
+	p := New()
+	for bits := minClassBits; bits <= maxClassBits; bits++ {
+		n := 1<<bits - 1
+		p.Put(p.Get(n))
+		if allocs := testing.AllocsPerRun(100, func() { p.Put(p.Get(n)) }); allocs != 0 {
+			t.Errorf("class %d B: %.0f allocs per Get+Put, want 0", 1<<bits, allocs)
+		}
+	}
+	if hits, _, _ := p.Stats(); hits == 0 {
+		t.Fatal("steady state never hit the pool")
+	}
+}
+
 func TestOversizedFallsThrough(t *testing.T) {
 	p := New()
 	n := (4 << 20) + 1
@@ -79,11 +96,28 @@ func TestConcurrentGetPut(t *testing.T) {
 	wg.Wait()
 }
 
-func BenchmarkGetPut4K(b *testing.B) {
-	p := New()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf := p.Get(4096)
-		p.Put(buf)
-	}
+// BenchmarkGetPut is one buffer out and back, and the shape NextBatch and
+// RecycleItems give the pool: a batch of 32 out, then 32 back. Run with
+// -benchmem: both read 0 B/op.
+func BenchmarkGetPut(b *testing.B) {
+	b.Run("pair", func(b *testing.B) {
+		p := New()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p.Put(p.Get(1300))
+		}
+	})
+	b.Run("batch32", func(b *testing.B) {
+		p := New()
+		var held [32][]byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := range held {
+				held[j] = p.Get(1300)
+			}
+			for _, buf := range held {
+				p.Put(buf)
+			}
+		}
+	})
 }

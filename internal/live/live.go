@@ -348,8 +348,9 @@ func (fs *FS) Pipeline() *metrics.Pipeline { return fs.pipe }
 func (fs *FS) alloc(n int) []byte { return fs.pool.Get(n) }
 
 // Recycle returns a buffer previously handed out by ReadSample,
-// ReadName, or NextBatch to the pool. Optional: callers that drop
-// buffers on the floor just pay the allocator again on the next read.
+// ReadName, or NextBatch to the pool; the caller owned it until now and
+// must not touch it afterwards. Optional: callers that drop buffers on
+// the floor just pay the allocator again on the next read.
 func (fs *FS) Recycle(b []byte) {
 	if b != nil {
 		fs.pool.Put(b)
@@ -357,7 +358,8 @@ func (fs *FS) Recycle(b []byte) {
 }
 
 // RecycleItems recycles every item's payload and nils the slices so a
-// training loop can return a whole mini-batch in one call.
+// training loop can return a whole mini-batch in one call. The items
+// slice itself stays the caller's.
 func (fs *FS) RecycleItems(items []Item) {
 	for i := range items {
 		fs.Recycle(items[i].Data)
@@ -482,7 +484,8 @@ func (fs *FS) Close() error {
 	return err
 }
 
-// Item is one delivered sample.
+// Item is one delivered sample. Data is a pool buffer the receiver owns:
+// Recycle may take it back, or the receiver may keep or drop it.
 type Item struct {
 	Index int
 	Data  []byte
@@ -555,6 +558,7 @@ type Epoch struct {
 	degNodes map[int]struct{}
 
 	resident    []*unit
+	copying     time.Time // when the open stretch of copies began; zero when none is (see endCopies)
 	total       int
 	emitted     int
 	failed      error
@@ -1099,13 +1103,18 @@ func (ep *Epoch) Skipped() int { return int(ep.skipped.Load()) }
 
 // NextBatch returns the next mini-batch: random selection across the
 // resident window of fetched chunks, sequential within each chunk — the
-// copy-thread emission discipline of §III-D2. Item buffers come from
-// the FS buffer pool; hand them back with RecycleItems to keep epochs
-// allocation-free. ok is false when the epoch is exhausted. A hard I/O
-// failure surfaces as an error and ends the epoch; an epoch that
-// skipped samples in degraded mode keeps emitting from healthy targets
-// and reports a *DegradedError (matching ErrDegraded) on its final
-// call.
+// copy-thread emission discipline of §III-D2. The slice and every
+// Item.Data in it are the caller's: each Data is a buffer from the FS
+// pool that the caller may hand back with Recycle/RecycleItems, which
+// keeps epochs allocation-free, or simply drop. ok is false when the
+// epoch is exhausted. A hard I/O failure surfaces as an error and ends
+// the epoch; an epoch that skipped samples in degraded mode keeps
+// emitting from healthy targets and reports a *DegradedError (matching
+// ErrDegraded) on its final call.
+//
+// What a sample costs here is: pick, Get, memcpy, store. Everything else
+// (the items slice, the clock, the channels) is paid per batch or per
+// fetched unit (DESIGN.md §9).
 func (ep *Epoch) NextBatch() ([]Item, bool, error) {
 	if ep.failed != nil {
 		return nil, false, ep.failed
@@ -1113,11 +1122,23 @@ func (ep *Epoch) NextBatch() ([]Item, bool, error) {
 	if ep.finished {
 		return nil, false, nil
 	}
-	var items []Item
-	for len(items) < ep.fs.cfg.BatchSize {
-		// Refill the resident window without blocking.
-		for !ep.readyClosed && len(ep.resident) < ep.fs.cfg.Window {
-			stop := false
+	fs := ep.fs
+	window, chunkSize := fs.cfg.Window, fs.cfg.ChunkSize
+	defer ep.endCopies() // however the call returns, its last stretch ends
+	// Sized once; the epoch's remainder bounds it, so a BatchSize far
+	// beyond the dataset costs nothing.
+	items := make([]Item, 0, min(fs.cfg.BatchSize, ep.total-ep.emitted))
+	for len(items) < fs.cfg.BatchSize {
+		// Refill the resident window. The channels are touched only when
+		// their lengths say there is something to take, or when nothing is
+		// resident, which is the one case that blocks (and the one that
+		// notices a closed ready: the workers are done and the window has
+		// drained, so the epoch is over).
+		for !ep.readyClosed && (len(ep.resident) == 0 ||
+			len(ep.resident) < window && (len(ep.ready) > 0 || len(ep.errCh) > 0)) {
+			if len(ep.resident) == 0 {
+				ep.endCopies() // a wait is not copying
+			}
 			select {
 			case err := <-ep.errCh:
 				ep.failed = err
@@ -1128,29 +1149,10 @@ func (ep *Epoch) NextBatch() ([]Item, bool, error) {
 				} else {
 					ep.resident = append(ep.resident, u)
 				}
-			default:
-				stop = true
-			}
-			if stop {
-				break
 			}
 		}
 		if len(ep.resident) == 0 {
-			if ep.readyClosed {
-				break // epoch exhausted
-			}
-			// Nothing resident: block for the next fetched unit.
-			select {
-			case err := <-ep.errCh:
-				ep.failed = err
-				return items, false, err
-			case u, ok := <-ep.ready:
-				if !ok {
-					ep.readyClosed = true
-					continue
-				}
-				ep.resident = append(ep.resident, u)
-			}
+			break // epoch exhausted
 		}
 		k := ep.rng.Intn(len(ep.resident))
 		u := ep.resident[k]
@@ -1160,40 +1162,53 @@ func (ep *Epoch) NextBatch() ([]Item, bool, error) {
 		var buf []byte
 		if u.assembled != nil {
 			// The record landed in a pool buffer of its own — hand it
-			// out: no copy stage, and no clock read to time one.
+			// out: no copy stage, so a stretch open in a mixed epoch ends
+			// here and holds only copied samples.
+			ep.endCopies()
 			buf = u.assembled[idx]
 			u.assembled[idx] = nil
 		} else {
-			cstart := time.Now()
-			buf = ep.fs.alloc(int(pl.Len))
-			copyFromChunks(u, pl, buf, ep.fs.cfg.ChunkSize)
-			ep.fs.pipe.ObserveCopy(time.Since(cstart))
+			if ep.copying.IsZero() {
+				ep.copying = time.Now()
+			}
+			buf = fs.alloc(int(pl.Len))
+			copyFromChunks(u, pl, buf, chunkSize)
 		}
-		ep.fs.cfg.Trace.Record(trace.KindEmit, u.seq, u.node, int(pl.Len))
+		fs.cfg.Trace.Record(trace.KindEmit, u.seq, u.node, int(pl.Len))
 		items = append(items, Item{Index: pl.Sample, Data: buf})
 		ep.emitted++
 		if u.next == len(u.samples) {
 			if u.chunks != nil {
-				ep.fs.arena.Free(u.chunks)
+				fs.arena.Free(u.chunks)
 				u.chunks = nil
 			}
 			u.assembled = nil // every entry already handed out
-			ep.fs.cfg.Trace.Record(trace.KindFree, u.seq, u.node, 0)
+			fs.cfg.Trace.Record(trace.KindFree, u.seq, u.node, 0)
 			ep.resident = append(ep.resident[:k], ep.resident[k+1:]...)
 		}
 	}
 	if len(items) == 0 {
 		ep.finished = true
 		if sk := ep.skipped.Load(); sk > 0 {
-			ep.fs.counters.DegradedBatches.Add(1)
+			fs.counters.DegradedBatches.Add(1)
 			return nil, false, &DegradedError{Samples: int(sk), Nodes: ep.degradedNodes()}
 		}
 		return nil, false, nil
 	}
 	if ep.skipped.Load() > 0 {
-		ep.fs.counters.DegradedBatches.Add(1)
+		fs.counters.DegradedBatches.Add(1)
 	}
 	return items, true, nil
+}
+
+// endCopies closes the open stretch of copies, if there is one. The copy
+// stage is timed per stretch of consecutive copies, not per sample: a
+// clock pair around a 1 KiB memcpy costs as much as the memcpy.
+func (ep *Epoch) endCopies() {
+	if !ep.copying.IsZero() {
+		ep.fs.pipe.ObserveCopy(time.Since(ep.copying))
+		ep.copying = time.Time{}
+	}
 }
 
 func copyFromChunks(u *unit, pl plan.Placed, dst []byte, chunkSize int) {

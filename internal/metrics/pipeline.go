@@ -81,7 +81,7 @@ type PipelineHist struct {
 	Prep Hist // building requests: chunk alloc + segment setup, per fetch group
 	Post Hist // submitting commands onto queue pairs, per fetch group
 	Poll Hist // waiting for completions, per fetch group
-	Copy Hist // copying one sample out of cache chunks
+	Copy Hist // one stretch of consecutive sample copies out of cache chunks (at least one per NextBatch call that copies)
 	Read Hist // whole synchronous ReadSample calls (hit or miss)
 	Ckpt Hist // one checkpoint write command, post to completion
 }

@@ -258,8 +258,8 @@ func FuzzWriteFrame(f *testing.F) {
 		// a target with no goroutines and an empty store: one exec leaves
 		// nothing behind for the next.
 		tgt := &Target{store: blockdev.New(capacity), cfg: Config{}.withDefaults()}
-		req, err := tgt.readRequest(bytes.NewReader(data), make([]byte, capsuleHeaderSize))
-		if err != nil {
+		req := new(capsule)
+		if err := tgt.readRequest(bytes.NewReader(data), make([]byte, capsuleHeaderSize), req); err != nil {
 			return
 		}
 		defer releaseRequest(req)

@@ -68,20 +68,35 @@ type pendingCmd struct {
 	smp  []SampleSeg // sample-mode destinations (opReadSamples)
 	lens []int       // caller-owned per-record landed lengths (may be nil)
 	op   byte        // opcode, for typed remote-status mapping
+
+	// Per-command state that would otherwise be allocated per command:
+	// the handle the submitter waits on, the deadline timer await re-arms
+	// (stopped with an empty channel whenever pc is not being awaited), and an
+	// opRead's 4-byte request payload.
+	pd     Pending
+	timer  *time.Timer
+	lenBuf [4]byte
 }
 
-// pcPool recycles pendingCmds (and their 1-buffered channels) so the
-// per-command hot path performs no allocation. A pendingCmd is returned
-// to the pool only after its completion was consumed on a clean path;
-// error paths abandon it to the GC, which keeps closed or contended
-// channels out of the pool.
+// pcPool recycles pendingCmds (their 1-buffered channels, handles and
+// deadline timers) so the per-command hot path performs no allocation. A
+// pendingCmd is returned to the pool only after its completion was
+// consumed on a clean path; error paths abandon it to the GC, which
+// keeps closed or contended channels out of the pool.
 var pcPool = sync.Pool{New: func() any { return &pendingCmd{ch: make(chan compl, 1)} }}
 
 func getPending() *pendingCmd { return pcPool.Get().(*pendingCmd) }
 
 func putPending(pc *pendingCmd) {
-	pc.dst, pc.vec, pc.smp, pc.lens, pc.op = nil, nil, nil, nil, 0
+	pc.dst, pc.vec, pc.smp, pc.lens, pc.op, pc.pd = nil, nil, nil, nil, 0, Pending{}
 	pcPool.Put(pc)
+}
+
+// handle returns the submitter's handle on pc, now in flight on in as
+// command id. It lives in pc: valid until Wait returns, like pc itself.
+func (pc *pendingCmd) handle(in *Initiator, id uint64) *Pending {
+	pc.pd = Pending{in: in, pc: pc, id: id}
+	return &pc.pd
 }
 
 // Initiator is the client side of one queue pair: a TCP connection to a
@@ -400,15 +415,26 @@ func (in *Initiator) submit(req *capsule, pc *pendingCmd) (uint64, error) {
 // while the socket writes them.
 func (in *Initiator) await(pc *pendingCmd, id uint64) (int, error) {
 	var timeout <-chan time.Time
-	if in.opt.RequestTimeout > 0 {
-		t := time.NewTimer(in.opt.RequestTimeout)
-		defer t.Stop()
-		timeout = t.C
+	if d := in.opt.RequestTimeout; d > 0 {
+		if pc.timer == nil {
+			pc.timer = time.NewTimer(d)
+		} else {
+			pc.timer.Reset(d)
+		}
+		timeout = pc.timer.C
 	}
 	select {
 	case c, ok := <-pc.ch:
+		// Disarm before pc can go back to the pool. A timer that fired while
+		// the completion arrived has a tick in its channel or on its way
+		// there, and re-arming it would time the next command out at once:
+		// that rare timer is dropped, tick and all, and the next await
+		// makes a new one.
+		if timeout != nil && !pc.timer.Stop() {
+			pc.timer = nil
+		}
 		return in.finish(c, ok, pc, id)
-	case <-timeout:
+	case <-timeout: // fired and drained by this receive
 		in.mu.Lock()
 		_, still := in.pending[id]
 		if still {
@@ -494,7 +520,7 @@ func (in *Initiator) WriteAsync(p []byte, off int64) (*Pending, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pending{in: in, pc: pc, id: id}, nil
+	return pc.handle(in, id), nil
 }
 
 // WSeg is one gather segment of a vectored write: len(Src) bytes
@@ -546,7 +572,7 @@ func (in *Initiator) WriteVecAsync(segs []WSeg) (*Pending, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pending{in: in, pc: pc, id: id}, nil
+	return pc.handle(in, id), nil
 }
 
 // WriteVec performs a synchronous gathered write, returning the total
@@ -576,7 +602,7 @@ func (in *Initiator) FlushAsync() (*Pending, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pending{in: in, pc: pc, id: id}, nil
+	return pc.handle(in, id), nil
 }
 
 // Flush performs a synchronous durability barrier.
@@ -589,7 +615,8 @@ func (in *Initiator) Flush() error {
 	return err
 }
 
-// Pending is an in-flight asynchronous read.
+// Pending is an in-flight asynchronous command. It is valid until Wait
+// returns and must not be waited on twice.
 type Pending struct {
 	in *Initiator
 	pc *pendingCmd
@@ -598,15 +625,14 @@ type Pending struct {
 
 // ReadAsync submits a read without waiting. Wait() completes it.
 func (in *Initiator) ReadAsync(dst []byte, off int64) (*Pending, error) {
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(dst)))
 	pc := getPending()
 	pc.dst = dst
-	id, err := in.submit(&capsule{opcode: opRead, offset: uint64(off), payload: lenBuf[:]}, pc)
+	binary.LittleEndian.PutUint32(pc.lenBuf[:], uint32(len(dst)))
+	id, err := in.submit(&capsule{opcode: opRead, offset: uint64(off), payload: pc.lenBuf[:]}, pc)
 	if err != nil {
 		return nil, err
 	}
-	return &Pending{in: in, pc: pc, id: id}, nil
+	return pc.handle(in, id), nil
 }
 
 // ReadVecAsync submits one vectored read covering every segment: a single
@@ -631,7 +657,7 @@ func (in *Initiator) ReadVecAsync(segs []Seg) (*Pending, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pending{in: in, pc: pc, id: id}, nil
+	return pc.handle(in, id), nil
 }
 
 // ReadVec performs a synchronous vectored read.
@@ -716,7 +742,7 @@ func (in *Initiator) ReadSamplesAsync(xform byte, segs []SampleSeg, lens []int) 
 	if err != nil {
 		return nil, err
 	}
-	return &Pending{in: in, pc: pc, id: id}, nil
+	return pc.handle(in, id), nil
 }
 
 // ReadSamples performs a synchronous server-assembled read, returning

@@ -417,3 +417,31 @@ func TestBadMagicRejected(t *testing.T) {
 		t.Fatalf("bad magic: %v", err)
 	}
 }
+
+// TestReadAtAllocsPerCommand pins what one wire command allocates,
+// initiator and target together (both run in this process, and
+// AllocsPerRun counts every goroutine): a depth-1 ReadAt loop through a
+// Reconnector, deadline armed, as live's ReadSample misses issue it.
+func TestReadAtAllocsPerCommand(t *testing.T) {
+	_, addr := startTarget(t, 8<<20, 16)
+	r, err := NewReconnector(addr, Options{}, RetryPolicy{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close() //nolint:errcheck
+	buf := make([]byte, 4096)
+	if _, err := r.WriteAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := r.ReadAt(buf, 0); err != nil {
+			t.Error(err)
+		}
+	})
+	t.Logf("%.2f allocs per command", allocs)
+	// 2 today (the target's view list and the scheduler's ring), 4 under
+	// the race detector, which makes sync.Pool drop a quarter of all Puts.
+	if allocs > 5 {
+		t.Fatalf("depth-1 ReadAt allocates %.2f objects per command, want <= 5", allocs)
+	}
+}

@@ -610,3 +610,45 @@ func TestServeConnOversizedReadLength(t *testing.T) {
 		t.Fatalf("oversized read length: %v, want ErrRemote", err)
 	}
 }
+
+// TestDeadlineTimerRearmedPerCommand: the deadline timer lives in the
+// pooled pendingCmd and is re-armed by every Wait. With deadlines that
+// straddle the loopback round trip some commands complete, some time
+// out, and some do both at once; whichever way each goes, none may
+// report a timeout before its deadline has passed, which is what a tick
+// left behind in a re-used timer's channel would cause.
+func TestDeadlineTimerRearmedPerCommand(t *testing.T) {
+	_, addr := startTarget(t, 1<<20, 16)
+	buf := make([]byte, 512)
+	for _, d := range []time.Duration{10 * time.Microsecond, 20 * time.Microsecond, 40 * time.Microsecond, 80 * time.Microsecond} {
+		in, err := ConnectOptions(addr, Options{RequestTimeout: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oks, timeouts, redials := 0, 0, 0
+		for i := 0; i < 1000; i++ {
+			start := time.Now()
+			_, err := in.ReadAt(buf, 0)
+			elapsed := time.Since(start)
+			switch {
+			case err == nil:
+				oks++
+			case errors.Is(err, ErrTimeout):
+				timeouts++
+				if elapsed < d {
+					t.Fatalf("command %d timed out after %v, deadline %v", i, elapsed, d)
+				}
+			default:
+				// The same deadline bounds the socket's reads and writes;
+				// one of those gave up, which costs the connection.
+				redials++
+				in.Close() //nolint:errcheck
+				if in, err = ConnectOptions(addr, Options{RequestTimeout: d}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		in.Close() //nolint:errcheck
+		t.Logf("deadline %v: %d completed, %d timed out, %d redials", d, oks, timeouts, redials)
+	}
+}

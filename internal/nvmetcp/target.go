@@ -169,9 +169,9 @@ type Target struct {
 type rpqItem struct {
 	tc      *targetConn
 	ts      *tenantState
-	req     *capsule
-	cost    int64 // estimated payload bytes, the DRR/quota currency
-	barrier int64 // opFlush: writes admitted on the connection before it
+	req     capsule // by value: the queue slot is the request's only home
+	cost    int64   // estimated payload bytes, the DRR/quota currency
+	barrier int64   // opFlush: writes admitted on the connection before it
 	enq     time.Time
 }
 
@@ -179,7 +179,7 @@ type rpqItem struct {
 // a pooled header frame plus at most one payload representation — either
 // zero-copy store-view segments or a pooled staged buffer.
 type completion struct {
-	hdr    []byte
+	hdr    *[capsuleHeaderSize]byte
 	view   [][]byte // segments aliasing store memory (reads, zero-copy)
 	staged []byte   // pooled copy (transforms that build their output / view fallback)
 	aux    []byte   // pooled length block leading view, then the records' trailers (opReadSamples)
@@ -234,8 +234,9 @@ func (tc *targetConn) awaitWrites(barrier int64) time.Duration {
 	return time.Since(start)
 }
 
-// hdrPool recycles completion header frames.
-var hdrPool = sync.Pool{New: func() any { return make([]byte, capsuleHeaderSize) }}
+// hdrPool recycles completion header frames, as array pointers: a slice
+// in a sync.Pool is boxed on every Put.
+var hdrPool = sync.Pool{New: func() any { return new([capsuleHeaderSize]byte) }}
 
 // NewTarget wraps a store; depth bounds per-connection concurrency
 // (default 64). Engine knobs take their defaults; use NewTargetConfig to
@@ -373,8 +374,8 @@ func (t *Target) serveConn(conn net.Conn) {
 	for {
 		// Request payloads (write data, vec descriptors) come from the
 		// shared pool and go back once the command is served.
-		req, err := t.readRequest(br, rhdr)
-		if err != nil {
+		var req capsule
+		if err := t.readRequest(br, rhdr, &req); err != nil {
 			// io.EOF and closed connections are normal teardown; only a
 			// malformed frame is worth a log line.
 			if errors.Is(err, ErrBadMagic) || errors.Is(err, ErrTooLarge) {
@@ -389,18 +390,18 @@ func (t *Target) serveConn(conn net.Conn) {
 		// alive, so tc.scq cannot close under these sends.
 		if st := classifyTenant(req.status, t.cfg.MaxTenants); st != statusOK {
 			t.tenantRejects.Add(1)
-			releaseRequest(req)
+			releaseRequest(&req)
 			tc.reject(req.cmdID, req.opcode, st, 0)
 			continue
 		}
 		ts := t.sched.tenants[req.status]
-		cost := cmdCost(req)
+		cost := cmdCost(&req)
 		if ra := t.sched.admit(ts, cost); ra > 0 {
 			// Over quota: reject with a retry-after hint in the offset
 			// field instead of queueing — admission control keeps the
 			// worker pool for tenants inside their budget.
 			ts.throttled.Add(1)
-			releaseRequest(req)
+			releaseRequest(&req)
 			tc.reject(req.cmdID, req.opcode, statusThrottled, uint64(ra))
 			continue
 		}
@@ -414,7 +415,7 @@ func (t *Target) serveConn(conn net.Conn) {
 		}
 		if !t.sched.enqueue(ts, it) {
 			// Scheduler closed mid-enqueue (target shutdown).
-			releaseRequest(req)
+			releaseRequest(&req)
 			tc.inflight.Done()
 			break
 		}
@@ -438,15 +439,15 @@ func (t *Target) serveConn(conn net.Conn) {
 // instead ingested descriptor-first as one pooled buffer per segment
 // (readWriteVec), so aligned segments can be adopted by the store with
 // no landing copy.
-func (t *Target) readRequest(r io.Reader, hdr []byte) (*capsule, error) {
+func (t *Target) readRequest(r io.Reader, hdr []byte, c *capsule) error {
 	hdr = hdr[:capsuleHeaderSize]
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
+		return err
 	}
 	if binary.LittleEndian.Uint32(hdr[0:4]) != Magic {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
-	c := &capsule{
+	*c = capsule{
 		cmdID:  binary.LittleEndian.Uint64(hdr[4:12]),
 		opcode: hdr[12],
 		status: hdr[13],
@@ -454,22 +455,19 @@ func (t *Target) readRequest(r io.Reader, hdr []byte) (*capsule, error) {
 	}
 	n := binary.LittleEndian.Uint32(hdr[22:26])
 	if n > maxPayload {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
 	if c.opcode == opWriteVec && n > 0 && !t.cfg.LegacyOps {
-		if err := t.readWriteVec(r, c, int(n)); err != nil {
-			return nil, err
-		}
-		return c, nil
+		return t.readWriteVec(r, c, int(n))
 	}
 	if n > 0 {
 		c.payload = bufpool.Shared.Get(int(n))
 		if _, err := io.ReadFull(r, c.payload); err != nil {
 			bufpool.Shared.Put(c.payload)
-			return nil, err
+			return err
 		}
 	}
-	return c, nil
+	return nil
 }
 
 // readWriteVec ingests one gathered-write payload of n bytes: caps
@@ -582,8 +580,8 @@ func (t *Target) worker() {
 			continue
 		}
 		start := time.Now()
-		comp := t.execute(it.req)
-		releaseRequest(it.req)
+		comp := t.execute(&it.req)
+		releaseRequest(&it.req)
 		service := time.Since(start)
 		t.srv.ObserveService(service)
 		it.ts.srv.ObserveService(service)
@@ -605,8 +603,8 @@ func (t *Target) completeFlush(it rpqItem) {
 	waited := it.tc.awaitWrites(it.barrier)
 	t.srv.ObserveFlushWait(waited)
 	start := time.Now()
-	comp := t.execute(it.req)
-	releaseRequest(it.req)
+	comp := t.execute(&it.req)
+	releaseRequest(&it.req)
 	service := time.Since(start)
 	t.srv.ObserveService(service)
 	it.ts.srv.ObserveService(service)
@@ -620,8 +618,8 @@ func (t *Target) completeFlush(it rpqItem) {
 // connection's reader calls this, so the queue is guaranteed open; the
 // offset field carries the retry-after hint for statusThrottled.
 func (tc *targetConn) reject(cmdID uint64, opcode, status byte, offset uint64) {
-	hdr := hdrPool.Get().([]byte)
-	encodeHdr(hdr, cmdID, opcode, status, offset, 0)
+	hdr := hdrPool.Get().(*[capsuleHeaderSize]byte)
+	encodeHdr(hdr[:], cmdID, opcode, status, offset, 0)
 	tc.scq <- completion{hdr: hdr}
 }
 
@@ -633,7 +631,7 @@ func (tc *targetConn) reject(cmdID uint64, opcode, status byte, offset uint64) {
 // execute silently against a dead connection.
 func (t *Target) flushLoop(tc *targetConn) {
 	batch := make([]completion, 0, t.cfg.Depth)
-	var scratch net.Buffers
+	var scratch, out net.Buffers // out: WriteTo's receiver escapes, so one per connection, not per flush
 	failed := false
 	for comp := range tc.scq {
 		if failed {
@@ -675,7 +673,7 @@ func (t *Target) flushLoop(tc *targetConn) {
 			if c.view != nil && t.store.WriteEpoch() != c.epoch {
 				t.restage(c)
 			}
-			scratch = append(scratch, c.hdr)
+			scratch = append(scratch, c.hdr[:])
 			if c.staged != nil {
 				scratch = append(scratch, c.staged)
 			} else {
@@ -689,8 +687,8 @@ func (t *Target) flushLoop(tc *targetConn) {
 		// in hand must find it in the counters too.
 		t.srv.Flushes.Add(1)
 		t.srv.FlushedCmds.Add(int64(len(batch)))
-		v := scratch // WriteTo consumes its receiver; keep scratch's header
-		_, err := v.WriteTo(tc.conn)
+		out = scratch // WriteTo consumes its receiver; keep scratch's header
+		_, err := out.WriteTo(tc.conn)
 		if pinned {
 			t.store.UnpinViews()
 		}
@@ -715,7 +713,7 @@ func (t *Target) abort(comp completion) {
 }
 
 func recycleCompletion(c *completion) {
-	hdrPool.Put(c.hdr) //nolint:staticcheck
+	hdrPool.Put(c.hdr)
 	if c.staged != nil {
 		bufpool.Shared.Put(c.staged)
 	}
@@ -941,7 +939,7 @@ func readLen(p []byte) (int, byte) {
 // payloads as zero-copy store views (the flusher re-stages a view whose
 // extents were written since).
 func (t *Target) execute(req *capsule) completion {
-	comp := completion{hdr: hdrPool.Get().([]byte)}
+	comp := completion{hdr: hdrPool.Get().(*[capsuleHeaderSize]byte)}
 	status := statusOK
 	switch req.opcode {
 	case opRead:
@@ -1085,7 +1083,7 @@ func (t *Target) execute(req *capsule) completion {
 	if status != statusOK {
 		comp.view, comp.staged, comp.n = nil, nil, 0
 	}
-	encodeHdr(comp.hdr, req.cmdID, req.opcode, status, 0, comp.n)
+	encodeHdr(comp.hdr[:], req.cmdID, req.opcode, status, 0, comp.n)
 	t.served.Add(1)
 	return comp
 }

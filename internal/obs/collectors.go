@@ -148,7 +148,7 @@ func PipelineCollector(client string, snap func() metrics.PipelineSnapshot) func
 			WriteHistogram(w, "dlfs_client_prep_seconds", "Per-fetch-group prep latency.", s.Stages.Prep, lbl...)
 			WriteHistogram(w, "dlfs_client_post_seconds", "Per-fetch-group post latency.", s.Stages.Post, lbl...)
 			WriteHistogram(w, "dlfs_client_poll_seconds", "Per-fetch-group poll latency.", s.Stages.Poll, lbl...)
-			WriteHistogram(w, "dlfs_client_copy_seconds", "Per-sample copy latency.", s.Stages.Copy, lbl...)
+			WriteHistogram(w, "dlfs_client_copy_seconds", "Copy latency per stretch of consecutive sample copies.", s.Stages.Copy, lbl...)
 			WriteHistogram(w, "dlfs_client_read_seconds", "Whole synchronous ReadSample latency.", s.Stages.Read, lbl...)
 			WriteHistogram(w, "dlfs_client_ckpt_write_seconds", "Per-checkpoint-write-command post-to-completion latency.", s.Stages.Ckpt, lbl...)
 		}

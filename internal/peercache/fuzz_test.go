@@ -10,7 +10,7 @@ import (
 // fuzzFrame builds a wire frame for the corpus.
 func fuzzFrame(op byte, seq uint32, payload []byte) []byte {
 	var buf bytes.Buffer
-	writeFrame(&buf, &frame{op: op, seq: seq, payload: payload}) //nolint:errcheck
+	writeFrame(&buf, new(frameHeader), &frame{op: op, seq: seq, payload: payload}) //nolint:errcheck
 	return buf.Bytes()
 }
 
@@ -46,7 +46,7 @@ func FuzzPeerFrame(f *testing.F) {
 	f.Add(bad)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := readFrame(bytes.NewReader(data), nil)
+		fr, err := readFrame(bytes.NewReader(data), new(frameHeader), nil)
 		if err != nil {
 			// Errors must be the typed protocol/size classes or plain
 			// short-read transport errors — never a panic, and an
@@ -67,7 +67,7 @@ func FuzzPeerFrame(f *testing.F) {
 		}
 		// A frame that parsed must round-trip byte-identically.
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, fr); err != nil {
+		if err := writeFrame(&buf, new(frameHeader), fr); err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
 		if got := buf.Bytes(); !bytes.Equal(got, data[:len(got)]) {

@@ -136,14 +136,19 @@ type frame struct {
 
 const frameHeaderSize = 4 + 1 + 4 + 4
 
+// frameHeader is header scratch. A connection reads and writes serially,
+// so each end keeps one per connection and lends it to both directions: a
+// header local to writeFrame or readFrame would escape through the
+// io.Writer or io.Reader once per frame.
+type frameHeader [frameHeaderSize]byte
+
 // writeFrame emits one frame.
-func writeFrame(w io.Writer, f *frame) error {
-	hdr := make([]byte, frameHeaderSize)
+func writeFrame(w io.Writer, hdr *frameHeader, f *frame) error {
 	binary.LittleEndian.PutUint32(hdr[0:4], Magic)
 	hdr[4] = f.op
 	binary.LittleEndian.PutUint32(hdr[5:9], f.seq)
 	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(f.payload)))
-	if _, err := w.Write(hdr); err != nil {
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	if len(f.payload) > 0 {
@@ -159,9 +164,8 @@ func writeFrame(w io.Writer, f *frame) error {
 // pooled memory); nil allocates. A corrupt length prefix on a
 // near-empty connection costs at most one chunk of allocation before
 // the short read surfaces.
-func readFrame(r io.Reader, alloc func(int) []byte) (*frame, error) {
-	hdr := make([]byte, frameHeaderSize)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+func readFrame(r io.Reader, hdr *frameHeader, alloc func(int) []byte) (*frame, error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	if binary.LittleEndian.Uint32(hdr[0:4]) != Magic {
@@ -349,25 +353,26 @@ func (s *Server) serveConn(c net.Conn) {
 		delete(s.conns, c)
 		s.mu.Unlock()
 	}()
+	var hdr frameHeader
 	for {
-		f, err := readFrame(c, nil)
+		f, err := readFrame(c, &hdr, nil)
 		if err != nil {
 			return
 		}
 		if f.op != opGet || len(f.payload) != getPayloadSize {
-			s.answer(c, &frame{op: opErr, seq: f.seq, payload: []byte("expected get")}) //nolint:errcheck
+			s.answer(c, &hdr, &frame{op: opErr, seq: f.seq, payload: []byte("expected get")}) //nolint:errcheck
 			return
 		}
 		idx := int(int64(binary.LittleEndian.Uint64(f.payload)))
 		buf, herr := s.handler(idx)
 		if herr != nil || buf == nil {
 			s.missed.Add(1)
-			if s.answer(c, &frame{op: opMiss, seq: f.seq}) != nil {
+			if s.answer(c, &hdr, &frame{op: opMiss, seq: f.seq}) != nil {
 				return
 			}
 			continue
 		}
-		werr := s.answer(c, &frame{op: opData, seq: f.seq, payload: buf})
+		werr := s.answer(c, &hdr, &frame{op: opData, seq: f.seq, payload: buf})
 		if s.opt.Release != nil {
 			s.opt.Release(buf)
 		}
@@ -379,11 +384,11 @@ func (s *Server) serveConn(c net.Conn) {
 }
 
 // answer writes one response under the request deadline.
-func (s *Server) answer(c net.Conn, f *frame) error {
+func (s *Server) answer(c net.Conn, hdr *frameHeader, f *frame) error {
 	if s.opt.RequestTimeout > 0 {
 		c.SetWriteDeadline(time.Now().Add(s.opt.RequestTimeout)) //nolint:errcheck
 	}
-	return writeFrame(c, f)
+	return writeFrame(c, hdr, f)
 }
 
 // Client fetches samples from one peer's server. It dials lazily,
@@ -398,6 +403,7 @@ type Client struct {
 	conn   net.Conn
 	seq    uint32
 	closed bool
+	hdr    frameHeader // scratch for the one frame in flight, under mu
 }
 
 // NewClient returns a client for the peer service at addr.
@@ -432,10 +438,10 @@ func (c *Client) Fetch(idx int, alloc func(int) []byte) ([]byte, error) {
 	seq := c.seq
 	var req [getPayloadSize]byte
 	binary.LittleEndian.PutUint64(req[:], uint64(idx))
-	if err := writeFrame(c.conn, &frame{op: opGet, seq: seq, payload: req[:]}); err != nil {
+	if err := writeFrame(c.conn, &c.hdr, &frame{op: opGet, seq: seq, payload: req[:]}); err != nil {
 		return nil, c.fail(err)
 	}
-	f, err := readFrame(c.conn, alloc)
+	f, err := readFrame(c.conn, &c.hdr, alloc)
 	if err != nil {
 		return nil, c.fail(err)
 	}

@@ -170,7 +170,7 @@ func TestFrameSizeError(t *testing.T) {
 	hdr[4] = opGet
 	binary.LittleEndian.PutUint32(hdr[9:13], maxControlPayload+1)
 	raw.Write(hdr)
-	_, err := readFrame(&raw, nil)
+	_, err := readFrame(&raw, new(frameHeader), nil)
 	if !errors.Is(err, ErrFrameTooLarge) || !errors.Is(err, ErrProtocol) {
 		t.Fatalf("want ErrFrameTooLarge and ErrProtocol, got %v", err)
 	}
@@ -184,7 +184,7 @@ func TestFrameSizeError(t *testing.T) {
 // frame without panicking.
 func TestBadMagicRejected(t *testing.T) {
 	raw := bytes.NewReader(append([]byte("GET / HTTP/1.1\r\n"), make([]byte, 32)...))
-	if _, err := readFrame(raw, nil); !errors.Is(err, ErrProtocol) {
+	if _, err := readFrame(raw, new(frameHeader), nil); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("want ErrProtocol, got %v", err)
 	}
 }
@@ -199,17 +199,17 @@ func TestServerRejectsMalformedGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck
-	if err := writeFrame(conn, &frame{op: opGet, seq: 1, payload: []byte{1, 2, 3}}); err != nil {
+	if err := writeFrame(conn, new(frameHeader), &frame{op: opGet, seq: 1, payload: []byte{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := readFrame(conn, nil)
+	f, err := readFrame(conn, new(frameHeader), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.op != opErr {
 		t.Fatalf("want opErr answer, got opcode %d", f.op)
 	}
-	if _, err := readFrame(conn, nil); err != io.EOF {
+	if _, err := readFrame(conn, new(frameHeader), nil); err != io.EOF {
 		t.Fatalf("connection should be dropped after protocol abuse, got %v", err)
 	}
 }

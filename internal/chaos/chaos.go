@@ -41,12 +41,13 @@ type Stats struct {
 	Kills          int64 // connections killed by a fault
 	Delays         int64 // delay faults fired
 	Corruptions    int64 // corruption faults fired
+	Masked         int64 // request capsules whose opcode a MaskOps proxy hid
 	BytesForwarded int64
 }
 
 // counters is the shared mutable backing for Stats.
 type counters struct {
-	conns, kills, delays, corruptions, bytes atomic.Int64
+	conns, kills, delays, corruptions, masked, bytes atomic.Int64
 }
 
 func (c *counters) snapshot() Stats {
@@ -55,6 +56,7 @@ func (c *counters) snapshot() Stats {
 		Kills:          c.kills.Load(),
 		Delays:         c.delays.Load(),
 		Corruptions:    c.corruptions.Load(),
+		Masked:         c.masked.Load(),
 		BytesForwarded: c.bytes.Load(),
 	}
 }

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
 	"testing"
@@ -257,5 +258,52 @@ func TestKillActiveSeversLiveConns(t *testing.T) {
 	c.SetReadDeadline(time.Now().Add(time.Second)) //nolint:errcheck
 	if _, err := c.Read(make([]byte, 1)); err == nil {
 		t.Fatal("connection survived KillActive")
+	}
+}
+
+// TestMaskOpsRewritesOnlyTheOpcode sends three capsules through a
+// MaskOps proxy to an echo server: the masked opcode comes back as the
+// unassigned one, an unmasked one as it was, and every other byte, a
+// payload that itself looks like a masked header included, untouched.
+func TestMaskOpsRewritesOnlyTheOpcode(t *testing.T) {
+	p := NewProxy(echoServer(t), Config{})
+	p.MaskOps(5, 7)
+	addr, err := p.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close() //nolint:errcheck
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() //nolint:errcheck
+
+	capsule := func(op byte, payload []byte) []byte {
+		b := make([]byte, capsuleHeader, capsuleHeader+len(payload))
+		for i := range b {
+			b[i] = byte(0x40 + i)
+		}
+		b[capsuleOpcode] = op
+		binary.LittleEndian.PutUint32(b[capsuleLength:], uint32(len(payload)))
+		return append(b, payload...)
+	}
+	decoy := capsule(5, nil) // inside a payload it is data, not a header
+	sent := bytes.Join([][]byte{capsule(5, decoy), capsule(4, bytes.Repeat([]byte{9}, 40<<10)), capsule(7, nil)}, nil)
+	want := bytes.Clone(sent)
+	want[capsuleOpcode] = opUnassigned
+	want[len(want)-capsuleHeader+capsuleOpcode] = opUnassigned
+
+	go c.Write(sent) //nolint:errcheck
+	got := make([]byte, len(sent))
+	c.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	if _, err := io.ReadFull(c, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the stream differs from the one sent in more than the two masked opcode bytes")
+	}
+	if m := p.Stats().Masked; m != 2 {
+		t.Fatalf("Masked = %d, want 2", m)
 	}
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"encoding/binary"
 	"io"
 	"net"
 	"sync"
@@ -35,6 +36,34 @@ type Proxy struct {
 	// Asymmetric partition: each direction is dropped independently.
 	dropToTarget atomic.Bool // client → target bytes discarded
 	dropToClient atomic.Bool // target → client bytes discarded
+
+	masked *[256]bool // request opcodes hidden from the target (MaskOps)
+}
+
+// What a relay has to know of an nvmetcp capsule
+// (internal/nvmetcp/protocol.go; that package's tests import this one,
+// so the layout is restated here, and its TestLegacyTargetDowngrade runs
+// through MaskOps, so the two cannot drift apart unnoticed).
+const (
+	capsuleHeader = 26 // magic u32 | cmdID u64 | opcode u8 | status u8 | offset u64 | length u32
+	capsuleOpcode = 12
+	capsuleLength = 22
+	opUnassigned  = 0xEE // no build's opcode: a target answers it statusBadOp
+)
+
+// MaskOps makes the target behind the proxy look like a build from
+// before the given opcodes existed, which is what a new client meets in
+// a rolling upgrade: the proxy follows the request stream capsule by
+// capsule and rewrites the opcode byte of every request carrying one of
+// ops to an unassigned value, so the target rejects the command as
+// unknown and the client, which types the error from the opcode it sent,
+// sees its old-target signal. Everything else, payloads and the
+// completion stream included, passes untouched. Call it before Listen.
+func (p *Proxy) MaskOps(ops ...byte) {
+	p.masked = new([256]bool)
+	for _, op := range ops {
+		p.masked[op] = true
+	}
 }
 
 // NewProxy returns a proxy forwarding to target with the given faults.
@@ -198,7 +227,14 @@ func (p *Proxy) handle(client net.Conn) {
 
 	var pwg sync.WaitGroup
 	pwg.Add(2)
-	go func() { defer pwg.Done(); p.pipe(wrapped, client, &p.dropToTarget) }()
+	go func() {
+		defer pwg.Done()
+		if p.masked != nil {
+			p.pipeCapsules(wrapped, client)
+		} else {
+			p.pipe(wrapped, client, &p.dropToTarget)
+		}
+	}()
 	go func() { defer pwg.Done(); p.pipe(client, wrapped, &p.dropToClient) }()
 	pwg.Wait()
 }
@@ -219,3 +255,36 @@ func (p *Proxy) pipe(dst io.Writer, src io.Reader, drop *atomic.Bool) {
 		}
 	}
 }
+
+// pipeCapsules is the request direction of a MaskOps proxy: header,
+// rewrite, payload, one capsule at a time. The blackhole and the
+// partition still apply, by discarding what would have been forwarded.
+func (p *Proxy) pipeCapsules(dst io.Writer, src io.Reader) {
+	fwd := writerFunc(func(b []byte) (int, error) {
+		if p.blackhole.Load() || p.dropToTarget.Load() {
+			return len(b), nil
+		}
+		return dst.Write(b)
+	})
+	hdr := make([]byte, capsuleHeader)
+	for {
+		if _, err := io.ReadFull(src, hdr); err != nil {
+			return
+		}
+		if p.masked[hdr[capsuleOpcode]] {
+			hdr[capsuleOpcode] = opUnassigned
+			p.st.masked.Add(1)
+		}
+		if _, err := fwd.Write(hdr); err != nil {
+			return
+		}
+		n := int64(binary.LittleEndian.Uint32(hdr[capsuleLength:]))
+		if _, err := io.CopyN(fwd, src, n); err != nil {
+			return
+		}
+	}
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(b []byte) (int, error) { return f(b) }

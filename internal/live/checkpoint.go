@@ -119,15 +119,9 @@ type CheckpointConfig struct {
 }
 
 func (c CheckpointConfig) withDefaults() CheckpointConfig {
-	if c.ShardBytes <= 0 {
-		c.ShardBytes = 1 << 20
-	}
-	if c.SegsPerCmd <= 0 {
-		c.SegsPerCmd = 8
-	}
-	if c.RankRegionBytes <= 0 {
-		c.RankRegionBytes = 64 << 20
-	}
+	orDefault(&c.ShardBytes, 1<<20)
+	orDefault(&c.SegsPerCmd, 8)
+	orDefault(&c.RankRegionBytes, 64<<20)
 	return c
 }
 
@@ -267,7 +261,7 @@ func (c *Checkpointer) Save(step uint64, state []byte) error {
 	// provably rejects.
 	var crcCh chan uint32
 	if c.cfg.NoDataCRC {
-		if _, err := fs.targets[0].qp.WriteAt(make([]byte, ckptManifestSize), slot); err != nil {
+		if err := fs.targets[0].send(false, nil, nil, nvmetcp.Command{Op: nvmetcp.OpWrite, Buf: make([]byte, ckptManifestSize), Off: slot}); err != nil {
 			return fmt.Errorf("live: checkpoint manifest invalidate: %w", err)
 		}
 		if err := c.flushTarget(0); err != nil {
@@ -287,45 +281,17 @@ func (c *Checkpointer) Save(step uint64, state []byte) error {
 		tgt, off := layout.place(s)
 		segsOf[tgt] = append(segsOf[tgt], nvmetcp.WSeg{Src: state[lo:hi], Off: off})
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, nT)
-	for t := 0; t < nT; t++ {
-		if len(segsOf[t]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			errs[t] = c.writeTarget(t, segsOf[t])
-		}(t)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	took := func(t int) bool { return len(segsOf[t]) > 0 }
+	if err := eachTarget(nT, took, func(t int) error { return c.writeTarget(t, segsOf[t]) }); err != nil {
+		return err
 	}
 
 	// Durability barrier on every target that took shards — issued in
 	// parallel, since each target's barrier only orders that target's own
 	// writes — then the manifest as the commit record, written and
 	// flushed only after the data it describes is stable everywhere.
-	wg = sync.WaitGroup{}
-	for t := 0; t < nT; t++ {
-		if len(segsOf[t]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			errs[t] = c.flushTarget(t)
-		}(t)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err := eachTarget(nT, took, c.flushTarget); err != nil {
+		return err
 	}
 	man := make([]byte, ckptManifestSize)
 	magic := uint32(ckptMagic)
@@ -341,7 +307,7 @@ func (c *Checkpointer) Save(step uint64, state []byte) error {
 		binary.LittleEndian.PutUint32(man[28:32], <-crcCh)
 	}
 	binary.LittleEndian.PutUint32(man[32:36], crc32.ChecksumIEEE(man[:32]))
-	if _, err := fs.targets[0].qp.WriteAt(man, slot); err != nil {
+	if err := fs.targets[0].send(false, nil, nil, nvmetcp.Command{Op: nvmetcp.OpWrite, Buf: man, Off: slot}); err != nil {
 		return fmt.Errorf("live: checkpoint manifest: %w", err)
 	}
 	if err := c.flushTarget(0); err != nil {
@@ -362,6 +328,29 @@ func (c *Checkpointer) Save(step uint64, state []byte) error {
 	}
 	fs.pipe.CkptSaves.Add(1)
 	fs.pipe.CkptNanos.Add(int64(time.Since(start)))
+	return nil
+}
+
+// eachTarget runs fn, in parallel, for every target of n that has work,
+// and returns the lowest-numbered target's error.
+func eachTarget(n int, has func(t int) bool, fn func(t int) error) error {
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for t := 0; t < n; t++ {
+		if has(t) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[t] = fn(t)
+			}()
+		}
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -413,7 +402,7 @@ type ckptManifest struct {
 // reports ErrNoCheckpoint.
 func (c *Checkpointer) readManifest(slot int64) (ckptManifest, error) {
 	man := make([]byte, ckptManifestSize)
-	if _, rerr := c.fs.targets[0].qp.ReadAt(man, slot); rerr != nil {
+	if rerr := c.fs.targets[0].send(false, nil, nil, nvmetcp.Command{Op: nvmetcp.OpRead, Buf: man, Off: slot}); rerr != nil {
 		return ckptManifest{}, fmt.Errorf("live: reading manifest: %w", rerr)
 	}
 	magic := binary.LittleEndian.Uint32(man[0:4])
@@ -497,40 +486,20 @@ func (c *Checkpointer) loadSlot(slot int64, m ckptManifest) ([]byte, error) {
 		tgt, off := layout.place(s)
 		segsOf[tgt] = append(segsOf[tgt], nvmetcp.Seg{Dst: buf[lo:hi], Off: off})
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, nT)
-	for t := 0; t < nT; t++ {
-		if len(segsOf[t]) == 0 {
-			continue
+	err := eachTarget(nT, func(t int) bool { return len(segsOf[t]) > 0 }, func(t int) error {
+		segs := segsOf[t]
+		cmds := make([]nvmetcp.Command, 0, (len(segs)+c.cfg.SegsPerCmd-1)/c.cfg.SegsPerCmd)
+		for lo := 0; lo < len(segs); lo += c.cfg.SegsPerCmd {
+			cmds = append(cmds, nvmetcp.Command{Op: nvmetcp.OpReadVec, Segs: segs[lo:min(lo+c.cfg.SegsPerCmd, len(segs))]})
 		}
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			segs := segsOf[t]
-			pds := make([]*nvmetcp.RePending, 0, (len(segs)+c.cfg.SegsPerCmd-1)/c.cfg.SegsPerCmd)
-			for lo := 0; lo < len(segs); lo += c.cfg.SegsPerCmd {
-				hi := min(lo+c.cfg.SegsPerCmd, len(segs))
-				pd, perr := fs.targets[t].qp.ReadVecAsync(segs[lo:hi])
-				if perr != nil {
-					errs[t] = perr
-					return
-				}
-				pds = append(pds, pd)
-			}
-			for _, pd := range pds {
-				if _, perr := pd.Wait(); perr != nil {
-					errs[t] = perr
-					return
-				}
-			}
-		}(t)
-	}
-	wg.Wait()
-	for t, terr := range errs {
-		if terr != nil {
-			fs.Recycle(buf)
-			return nil, fmt.Errorf("live: checkpoint read from target %d: %w", t, terr)
+		if err := fs.targets[t].send(false, nil, nil, cmds...); err != nil {
+			return fmt.Errorf("live: checkpoint read from target %d: %w", t, err)
 		}
+		return nil
+	})
+	if err != nil {
+		fs.Recycle(buf)
+		return nil, err
 	}
 	if m.hasCRC && crc32.Checksum(buf, ckptCRCTable) != m.dataCRC {
 		fs.Recycle(buf)

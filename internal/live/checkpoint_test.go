@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"dlfs/internal/blockdev"
 	"dlfs/internal/chaos"
 	"dlfs/internal/nvmetcp"
 )
@@ -79,16 +78,7 @@ func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 // succeed through per-extent opWrite, latch the downgrade, and load
 // back byte-exact.
 func TestCheckpointLegacyTargetDowngrades(t *testing.T) {
-	addrs := make([]string, 2)
-	for i := range addrs {
-		tgt := nvmetcp.NewTargetConfig(blockdev.New(256<<20), nvmetcp.Config{Depth: 32, LegacyOps: true})
-		addr, err := tgt.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { tgt.Close() }) //nolint:errcheck
-		addrs[i] = addr
-	}
+	_, addrs, _ := startLegacyTargets(t, 2)
 	ds := testDS(20, 1500)
 	fs, err := Mount(addrs, ds, Config{})
 	if err != nil {
@@ -113,7 +103,7 @@ func TestCheckpointLegacyTargetDowngrades(t *testing.T) {
 	}
 	fs.Recycle(got)
 	if fs.Stats().Pipeline.CkptDowngrades < 1 {
-		t.Fatal("no downgrade latched against LegacyOps targets")
+		t.Fatal("no downgrade latched against legacy targets")
 	}
 	// The latch sticks: a second save goes straight to the plain path
 	// and still round-trips.

@@ -238,7 +238,7 @@ func (fs *FS) SequenceSlice(seed int64, rank, world int) (*Epoch, error) {
 	if world <= 0 || rank < 0 || rank >= world {
 		return nil, fmt.Errorf("live: bad sequence slice %d/%d", rank, world)
 	}
-	return fs.sequence(seed, rank, world)
+	return fs.sequenceRange(seed, rank, world, 0, -1)
 }
 
 // EpochUnits reports how many fetch units one epoch's global order

@@ -113,48 +113,128 @@ func (b *breaker) StateName() string {
 	}
 }
 
-// target binds one storage node's queue-pair group to its health state.
+// target binds one storage node's queue-pair group to its health state
+// and to what is known of its build.
 type target struct {
 	addr string
 	qp   *nvmetcp.QPGroup
 	brk  *breaker
 
-	// noAssembly latches when the target rejects opReadSamples with
-	// statusBadOp (an old-opcode build during a rolling upgrade); all
-	// later fetches to this target use the vectored chunk path. It is
-	// a capability fact, not a health signal — the breaker never sees
-	// the downgrade.
-	noAssembly atomic.Bool
-
-	// noVec is the write side's latch of the same kind: the target
-	// rejected opWriteVec, so gathered batches go to it as per-extent
-	// opWrite from then on (bulkWriter.sendOnce).
-	noVec atomic.Bool
+	// Capability latches, one per opcode an old build does not speak
+	// (opReadSamples, opWriteVec, opFlush), each set by the first command
+	// of its kind the target rejects with statusBadOp (send). From then on
+	// nothing of that kind is sent: fetches take the vectored chunk path,
+	// gathered batches go as per-extent opWrite, and the write completions
+	// the caller already waited for stand in for the barrier. These are
+	// facts about the target's build, not its health.
+	noAssembly, noVec, noFlush atomic.Bool
 }
 
-// noteFailure feeds a fetch error into the target's circuit breaker.
-// Tenant throttles are exempt: a quota rejection is backpressure from a
-// healthy target — like noAssembly, a fact about policy rather than
-// health — so it must never accumulate toward opening the breaker and
-// cutting a quota-bound tenant off from a working node.
-func (tg *target) noteFailure(err error) {
-	if errors.Is(err, nvmetcp.ErrThrottled) {
-		return
+// latch returns the capability latch that guards op, nil when every
+// build speaks it.
+func (tg *target) latch(op byte) *atomic.Bool {
+	switch op {
+	case nvmetcp.OpReadSamples:
+		return &tg.noAssembly
+	case nvmetcp.OpWriteVec:
+		return &tg.noVec
+	case nvmetcp.OpFlush:
+		return &tg.noFlush
 	}
-	tg.brk.Failure()
+	return nil
 }
 
-// read runs one synchronous read through the breaker.
-func (tg *target) read(p []byte, off int64) error {
-	if !tg.brk.Allow() {
+// errLegacy is send's answer for a command of a kind the target's build
+// does not speak: nothing failed, the caller takes the older form.
+// errLatched is the same answer from the send whose command was the
+// first of its kind to be turned away.
+var (
+	errLegacy  = errors.New("live: opcode not spoken by this target")
+	errLatched = fmt.Errorf("%w (latched now)", errLegacy)
+)
+
+// send is the one way live reaches a target: every command goes out and
+// every outcome is judged here. cmds are of one kind. A lone command
+// runs synchronously on the next queue pair (a barrier on all of them)
+// and costs no handle; several are pipelined across the pairs and waited
+// for together, as is a lone one whose caller asks when it was posted.
+// check, when not nil, is the caller's verdict on what landed, and a
+// failure there is the target's.
+//
+// gate says the circuit breaker guards this traffic (reads; the write
+// path never fed it): it must Allow the exchange and hears Success or
+// Failure. A command turned away as an unknown
+// opcode is neither: the target answered, so it is healthy, and what was
+// learned is its build. The opcode is latched and the caller gets
+// errLegacy, as does whoever sends that kind again.
+func (tg *target) send(gate bool, check func() error, posted *time.Time, cmds ...nvmetcp.Command) error {
+	if l := tg.latch(cmds[0].Op); l != nil && l.Load() {
+		return errLegacy
+	}
+	if gate && !tg.brk.Allow() {
 		return fmt.Errorf("%w: %s circuit open", ErrDegraded, tg.addr)
 	}
-	if _, err := tg.qp.ReadAt(p, off); err != nil {
-		tg.noteFailure(err)
-		return err
+	var err error
+	if len(cmds) == 1 && posted == nil {
+		_, err = tg.qp.Do(cmds[0])
+	} else {
+		var few [writeWindow]*nvmetcp.RePending
+		pds := few[:0]
+		for _, c := range cmds {
+			var pd *nvmetcp.RePending
+			if pd, err = tg.qp.Submit(c); err != nil {
+				break
+			}
+			pds = append(pds, pd)
+		}
+		if posted != nil {
+			*posted = time.Now()
+		}
+		// Also when posting failed: what is in flight still writes into the
+		// caller's buffers.
+		for _, pd := range pds {
+			if _, werr := pd.Wait(); werr != nil && err == nil {
+				err = werr
+			}
+		}
 	}
-	tg.brk.Success()
-	return nil
+	if err == nil && check != nil {
+		err = check()
+	}
+	if err != nil {
+		var unsup *nvmetcp.UnsupportedOpError // on the heap once errors.As has it: not on the way of a success
+		if errors.As(err, &unsup) {
+			err = errLegacy
+			if tg.latch(unsup.Opcode).CompareAndSwap(false, true) {
+				err = errLatched
+			}
+		} else {
+			// Tenant throttles are exempt: a quota rejection is backpressure
+			// from a healthy target, like a latch a fact about policy rather
+			// than health, so it must never accumulate toward opening the
+			// breaker and cutting a quota-bound tenant off from a working node.
+			if gate && !errors.Is(err, nvmetcp.ErrThrottled) {
+				tg.brk.Failure()
+			}
+			return err
+		}
+	}
+	if gate {
+		tg.brk.Success()
+	}
+	return err
+}
+
+// flush runs the durability barrier on every queue pair of the target
+// and reports whether the target ran it. A target that does not speak
+// opFlush (rolling upgrade) applies each write before completing it, so
+// there the completions the caller already waited for are the barrier.
+func (tg *target) flush() (bool, error) {
+	err := tg.send(false, nil, nil, nvmetcp.Command{Op: nvmetcp.OpFlush})
+	if errors.Is(err, errLegacy) {
+		return false, nil
+	}
+	return err == nil, err
 }
 
 // TargetHealth is one target's health as reported by Stats.

@@ -116,80 +116,47 @@ type Config struct {
 // representation regardless of which negative the caller passed. Every
 // other knob treats all non-positive values as unset.
 func (c Config) withDefaults() Config {
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = 256 << 10
-	}
-	if c.CacheBytes <= 0 {
-		c.CacheBytes = 64 << 20
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 32
-	}
-	if c.Prefetchers <= 0 {
-		c.Prefetchers = 4
-	}
-	if c.Window <= 0 {
-		c.Window = 8
-	}
-	if c.ReadCacheBytes == 0 {
-		c.ReadCacheBytes = 8 << 20
-	} else if c.ReadCacheBytes < 0 {
-		c.ReadCacheBytes = -1
-	}
-	if c.CoordWaitTimeout == 0 {
-		c.CoordWaitTimeout = 60 * time.Second
-	} else if c.CoordWaitTimeout < 0 {
-		c.CoordWaitTimeout = -1
-	}
-	if c.QueuePairs <= 0 {
-		c.QueuePairs = 2
-	}
-	if c.CoalesceBytes <= 0 {
-		c.CoalesceBytes = 1 << 20
-	}
-	if c.PrefetchBudgetBytes == 0 {
-		c.PrefetchBudgetBytes = 16 << 20
-	} else if c.PrefetchBudgetBytes < 0 {
-		c.PrefetchBudgetBytes = -1
-	}
-	if c.AssemblyTransform < 0 {
-		c.AssemblyTransform = -1
-	}
+	orDefault(&c.ChunkSize, 256<<10)
+	orDefault(&c.CacheBytes, 64<<20)
+	orDefault(&c.BatchSize, 32)
+	orDefault(&c.Prefetchers, 4)
+	orDefault(&c.Window, 8)
+	orOff(&c.ReadCacheBytes, 8<<20)
+	orOff(&c.CoordWaitTimeout, 60*time.Second)
+	orDefault(&c.QueuePairs, 2)
+	orDefault(&c.CoalesceBytes, 1<<20)
+	orOff(&c.PrefetchBudgetBytes, 16<<20)
+	c.AssemblyTransform = max(c.AssemblyTransform, -1)
 	if c.PeerCacheListen == "" {
 		c.PeerCacheListen = "127.0.0.1:0"
 	}
-	if c.PeerFetchTimeout == 0 {
-		c.PeerFetchTimeout = 500 * time.Millisecond
-	} else if c.PeerFetchTimeout < 0 {
-		c.PeerFetchTimeout = -1
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 10 * time.Second
-	} else if c.RequestTimeout < 0 {
-		c.RequestTimeout = -1
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 4
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 5 * time.Millisecond
-	}
-	if c.RetryMaxDelay <= 0 {
-		c.RetryMaxDelay = 500 * time.Millisecond
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 500 * time.Millisecond
-	}
-	if c.Tenant < 0 {
-		c.Tenant = 0
-	}
+	orOff(&c.PeerFetchTimeout, 500*time.Millisecond)
+	orDefault(&c.DialTimeout, 5*time.Second)
+	orOff(&c.RequestTimeout, 10*time.Second)
+	orDefault(&c.MaxRetries, 4)
+	orDefault(&c.RetryBaseDelay, 5*time.Millisecond)
+	orDefault(&c.RetryMaxDelay, 500*time.Millisecond)
+	orDefault(&c.BreakerThreshold, 3)
+	orDefault(&c.BreakerCooldown, 500*time.Millisecond)
+	c.Tenant = max(c.Tenant, 0)
 	return c
+}
+
+// orDefault gives a knob that is unset (not positive) its default.
+func orDefault[T int | int64 | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
+}
+
+// orOff is orDefault for a knob that can be switched off: zero takes the
+// default, any negative value becomes the canonical -1.
+func orOff[T int64 | time.Duration](v *T, def T) {
+	if *v == 0 {
+		*v = def
+	} else if *v < 0 {
+		*v = -1
+	}
 }
 
 // FS is a live DLFS client bound to a set of TCP targets.
@@ -395,13 +362,12 @@ func (fs *FS) ReadSample(idx int) ([]byte, error) {
 			return hit, nil
 		}
 	}
-	pl := fs.placed[idx]
 	// Cooperative peer cache: the sample's owner is the rank whose
 	// target stores it, so a non-owner asks that peer before touching
 	// the origin wire; any peer failure falls through to origin.
 	if fs.peers != nil {
 		if owner := int(fs.nodeOf[idx]); owner != fs.rank {
-			if buf := fs.peerFetch(owner, idx, int(pl.Len)); buf != nil {
+			if buf := fs.peerFetch(owner, idx, int(fs.placed[idx].Len)); buf != nil {
 				if fs.scache != nil {
 					fs.scache.put(idx, buf)
 				}
@@ -412,8 +378,20 @@ func (fs *FS) ReadSample(idx int) ([]byte, error) {
 			}
 		}
 	}
+	buf, err := fs.readOrigin(idx)
+	if err == nil && hist != nil {
+		hist.Read.Observe(time.Since(start))
+	}
+	return buf, err
+}
+
+// readOrigin reads sample idx from the target that stores it, through
+// that target's breaker, and leaves a copy in the read cache.
+func (fs *FS) readOrigin(idx int) ([]byte, error) {
+	pl := fs.placed[idx]
 	buf := fs.alloc(int(pl.Len))
-	if err := fs.targets[fs.nodeOf[idx]].read(buf, pl.Offset); err != nil {
+	c := nvmetcp.Command{Op: nvmetcp.OpRead, Buf: buf, Off: pl.Offset}
+	if err := fs.targets[fs.nodeOf[idx]].send(true, nil, nil, c); err != nil {
 		fs.Recycle(buf)
 		return nil, err
 	}
@@ -421,9 +399,6 @@ func (fs *FS) ReadSample(idx int) ([]byte, error) {
 	fs.pipe.OriginBytes.Add(int64(pl.Len))
 	if fs.scache != nil {
 		fs.scache.put(idx, buf)
-	}
-	if hist != nil {
-		hist.Read.Observe(time.Since(start))
 	}
 	return buf, nil
 }
@@ -573,17 +548,7 @@ type Epoch struct {
 // Prefetchers workers — sequence-driven prefetch with request
 // coalescing. Background fetchers start immediately.
 func (fs *FS) Sequence(seed int64) (*Epoch, error) {
-	return fs.sequence(seed, 0, 1)
-}
-
-// sequence builds the seeded global unit order and starts the fetch
-// pipeline over the rank-th of world disjoint slices (0/1 = the whole
-// epoch). The unit plan and the shuffle derive only from the seed and
-// the deterministic placement, so every rank of a cluster job computes
-// the identical global order and unit i can be assigned to rank
-// i % world with no coordination.
-func (fs *FS) sequence(seed int64, rank, world int) (*Epoch, error) {
-	return fs.sequenceRange(seed, rank, world, 0, -1)
+	return fs.sequenceRange(seed, 0, 1, 0, -1)
 }
 
 // planUnits builds the unit plan from the placement. The paper's chunk
@@ -659,7 +624,11 @@ func (fs *FS) epochUnits(seed int64, rank, world, lo, hi int) []unit {
 }
 
 // sequenceRange starts the fetch pipeline over the rank-th of world
-// slices of units [lo, hi) of the seeded global order (see epochUnits).
+// slices of units [lo, hi) of the seeded global order (see epochUnits;
+// 0 of 1 over [0, -1) is the whole epoch). The unit plan and the shuffle
+// derive only from the seed and the deterministic placement, so every
+// rank of a cluster job computes the identical global order and units
+// are assigned to ranks with no coordination.
 func (fs *FS) sequenceRange(seed int64, rank, world, lo, hi int) (*Epoch, error) {
 	if fs.closed.Load() {
 		return nil, ErrClosed
@@ -859,79 +828,40 @@ func (fs *FS) freeUnit(u *unit) {
 	u.assembled, u.raw = nil, nil
 }
 
-// waitAll waits for every posted command and returns the first error,
-// err itself when posting already failed.
-func waitAll(pendings []*nvmetcp.RePending, err error) error {
-	for _, pd := range pendings {
-		if _, werr := pd.Wait(); werr != nil && err == nil {
-			err = werr
-		}
-	}
-	return err
-}
+// assemblySamplesPerCmd is how many sample descriptors one offload
+// command carries, an eighth of the protocol's nvmetcp.MaxSampleDescs.
+const assemblySamplesPerCmd = 512
 
-// observeStages books an epoch's fetch on the prep, post and poll stage
-// timers, given when each stage began; poll ends now. A parked fetch is
-// left out (see landed).
-func (fs *FS) observeStages(park bool, prep, post, poll time.Time) {
-	if !park {
-		fs.pipe.ObservePrep(post.Sub(prep))
-		fs.pipe.ObservePost(poll.Sub(post))
-		fs.pipe.ObservePoll(time.Since(poll))
-	}
-}
-
-// landed books a fetch that succeeded. An epoch's goes on the wire
-// counters and the trace. A lookahead round's (park) goes on the
-// prefetch counters only: it runs beside the consume window of the epoch
-// before, whose wire reads and stage times must stay that epoch's own.
-func (fs *FS) landed(units []*unit, park bool, cmds, segs int, bytes int64) {
-	if park {
-		fs.pipe.PrefetchedUnits.Add(int64(len(units)))
-		fs.pipe.PrefetchedBytes.Add(bytes)
-		return
-	}
-	fs.pipe.WireReads.Add(int64(cmds))
-	fs.pipe.WireSegments.Add(int64(segs))
-	fs.pipe.WireBytes.Add(bytes)
-	for _, u := range units {
-		fs.cfg.Trace.Record(trace.KindComplete, u.seq, u.node, int(u.length))
-	}
-}
-
-// fetchWire is the one wire routine: it reads a same-target group of
-// units, and each unit's sample sizes say where its bytes land. A unit of
-// large samples (perSample) takes a segment per sample, straight into the
-// pool buffers NextBatch hands out, which a lookahead round parks as they
-// are. A unit of small samples lands whole: for an epoch (park false) in
-// arena chunks, a segment per chunk pointing into huge-page memory, for
-// NextBatch to copy from; for a lookahead round (park true) in one pool
-// buffer, u.raw, which its caller parks in the store. One command may
-// carry both kinds. Prep builds the scatter list, post puts one vectored
-// command on the target's next queue pair, poll waits. The target's
-// breaker gates the fetch; on failure the units hold nothing.
+// fetchWire is the one wire routine, for epochs and lookahead rounds
+// alike: it reads a same-target group of units as one scatter list. A
+// unit takes a segment per sample, straight into the pool buffers
+// NextBatch hands out (and a round parks as they are), when its samples
+// are large (perSample) or the mount has the target assemble. In that
+// mode every unit does: each buffer is sized for the transform's output
+// and the list goes out as opReadSamples commands of at most
+// assemblySamplesPerCmd records, so the units skip arena staging and the
+// client copy stage. Otherwise the list is one opReadVec and a unit of
+// small samples lands whole: for an epoch (park false) in arena chunks,
+// a segment per chunk, for NextBatch to copy from; for a round (park
+// true) in one pool buffer, u.raw, which its caller parks in the store.
+// Prep builds the list, post puts it on the target's queue pairs, poll
+// waits; a crc32c trailer, where the transform left one, is verified and
+// stripped. target.send gates the fetch on the breaker and judges the
+// outcome; on failure the units hold nothing. A build that turns
+// opReadSamples away is no failure: the downgrade is counted and the
+// group goes again as chunks.
 func (fs *FS) fetchWire(units []*unit, park bool) error {
 	tg := fs.targets[units[0].node]
-	if !tg.brk.Allow() {
-		return fmt.Errorf("%w: %s circuit open", ErrDegraded, tg.addr)
-	}
-	if fs.cfg.ServerAssembly && !tg.noAssembly.Load() {
-		err := fs.fetchAssembled(tg, units, park)
-		var ue *nvmetcp.UnsupportedOpError
-		if !errors.As(err, &ue) {
-			return err
-		}
-		// Old-opcode target (rolling upgrade): latch the capability,
-		// count the downgrade, and fall through to the vectored chunk
-		// path. The breaker already granted this fetch — no re-Allow.
-		tg.noAssembly.Store(true)
-		fs.pipe.OffloadDowngrades.Add(1)
-	}
 	prep := time.Now()
 	cs := fs.cfg.ChunkSize
+	cmd := nvmetcp.Command{Op: nvmetcp.OpReadVec}
+	if fs.cfg.ServerAssembly && !tg.noAssembly.Load() {
+		cmd = nvmetcp.Command{Op: nvmetcp.OpReadSamples, Xform: fs.assemblyTransform()}
+	}
+	assemble := cmd.Op == nvmetcp.OpReadSamples
 	nchunks, nsamples := 0, 0
 	for _, u := range units {
-		if fs.perSample(u) {
+		if assemble || fs.perSample(u) {
 			nsamples += len(u.samples)
 		} else if !park {
 			nchunks += u.chunkCount(cs)
@@ -943,15 +873,18 @@ func (fs *FS) fetchWire(units []*unit, park bool) error {
 	var bytes int64
 	for _, u := range units {
 		switch {
-		case fs.perSample(u):
+		case assemble || fs.perSample(u):
 			slab = u.slots(slab)
 			for si, pl := range u.samples {
-				u.assembled[si] = fs.alloc(int(pl.Len))
-				segs = append(segs, nvmetcp.Seg{Dst: u.assembled[si], Off: pl.Offset})
+				buf := fs.alloc(nvmetcp.TransformOutLen(cmd.Xform, int(pl.Len)))
+				u.assembled[si] = buf
+				segs = append(segs, nvmetcp.Seg{Dst: buf, Off: pl.Offset, N: int(pl.Len)})
+				bytes += int64(len(buf))
 			}
 		case park:
 			u.raw = fs.alloc(int(u.length))
 			segs = append(segs, nvmetcp.Seg{Dst: u.raw, Off: u.offset})
+			bytes += int64(u.length)
 		default:
 			nc := u.chunkCount(cs)
 			u.chunks, all = all[:nc:nc], all[nc:]
@@ -959,28 +892,64 @@ func (fs *FS) fetchWire(units []*unit, park bool) error {
 				segLen := min(cs, int(u.length)-ci*cs)
 				segs = append(segs, nvmetcp.Seg{Dst: c.Bytes()[:segLen], Off: u.offset + int64(ci*cs)})
 			}
+			bytes += int64(u.length)
 		}
-		bytes += int64(u.length)
 		if !park {
 			fs.cfg.Trace.Record(trace.KindPost, u.seq, u.node, int(u.length))
 		}
 	}
-	post := time.Now()
-	pd, err := tg.qp.ReadVecAsync(segs)
-	poll := time.Now()
-	if err == nil {
-		_, err = pd.Wait()
+	var one [1]nvmetcp.Command
+	cmds := one[:0]
+	per := len(segs)
+	if assemble {
+		per = assemblySamplesPerCmd
 	}
-	fs.observeStages(park, prep, post, poll)
+	for lo := 0; lo < len(segs); lo += per {
+		cmd.Segs = segs[lo:min(lo+per, len(segs))]
+		cmds = append(cmds, cmd)
+	}
+	var check func() error
+	if cmd.Xform == nvmetcp.TransformCRC32C {
+		check = func() error { return verifyAssembled(units) }
+	}
+	post := time.Now()
+	var poll time.Time // stays zero when send turns the fetch away unposted
+	err := tg.send(true, check, &poll, cmds...)
+	if !park && !poll.IsZero() {
+		fs.pipe.ObservePrep(post.Sub(prep))
+		fs.pipe.ObservePost(poll.Sub(post))
+		fs.pipe.ObservePoll(time.Since(poll))
+	}
 	if err != nil {
 		for _, u := range units {
 			fs.freeUnit(u)
 		}
-		tg.noteFailure(err)
+		if errors.Is(err, errLegacy) {
+			fs.pipe.OffloadDowngrades.Add(1)
+			return fs.fetchWire(units, park)
+		}
 		return err
 	}
-	fs.landed(units, park, 1, len(segs), bytes)
-	tg.brk.Success()
+	if assemble {
+		fs.pipe.OffloadCmds.Add(int64(len(cmds)))
+		fs.pipe.OffloadSamples.Add(int64(len(segs)))
+	}
+	// A lookahead round's fetch goes on the prefetch counters only: it
+	// runs beside the consume window of the epoch before, whose wire reads
+	// and stage times must stay that epoch's own.
+	if park {
+		fs.pipe.PrefetchedUnits.Add(int64(len(units)))
+		fs.pipe.PrefetchedBytes.Add(bytes)
+		return nil
+	}
+	// Only what lands in the segments is counted: an assembled response's
+	// per-record length block is framing, like capsule headers.
+	fs.pipe.WireReads.Add(int64(len(cmds)))
+	fs.pipe.WireSegments.Add(int64(len(segs)))
+	fs.pipe.WireBytes.Add(bytes)
+	for _, u := range units {
+		fs.cfg.Trace.Record(trace.KindComplete, u.seq, u.node, int(u.length))
+	}
 	return nil
 }
 
@@ -993,34 +962,10 @@ func (fs *FS) assemblyTransform() byte {
 	return byte(fs.cfg.AssemblyTransform)
 }
 
-// assemblySamplesPerCmd is how many sample descriptors one offload
-// command carries, an eighth of the protocol's nvmetcp.MaxSampleDescs.
-const assemblySamplesPerCmd = 512
-
-// postSamples submits segs as one or more opReadSamples commands of at
-// most assemblySamplesPerCmd descriptors, returning every in-flight
-// pending. On a submission error the already-submitted pendings are
-// still returned — the caller must Wait them before touching the
-// destination buffers.
-func (fs *FS) postSamples(tg *target, xform byte, segs []nvmetcp.SampleSeg) ([]*nvmetcp.RePending, error) {
-	pendings := make([]*nvmetcp.RePending, 0, (len(segs)+assemblySamplesPerCmd-1)/assemblySamplesPerCmd)
-	for lo := 0; lo < len(segs); lo += assemblySamplesPerCmd {
-		pd, err := tg.qp.ReadSamplesAsync(xform, segs[lo:min(lo+assemblySamplesPerCmd, len(segs))], nil)
-		if err != nil {
-			return pendings, err
-		}
-		pendings = append(pendings, pd)
-	}
-	return pendings, nil
-}
-
 // verifyAssembled checks and strips each record's crc32c trailer in
-// place when the epoch runs the crc transform. The stripped body
-// aliases the pooled buffer, so recycling stays exact.
-func verifyAssembled(xform byte, units []*unit) error {
-	if xform != nvmetcp.TransformCRC32C {
-		return nil
-	}
+// place. The stripped body aliases the pooled buffer, so recycling stays
+// exact.
+func verifyAssembled(units []*unit) error {
 	for _, u := range units {
 		for si, b := range u.assembled {
 			body, ok := nvmetcp.VerifyCRC32C(b)
@@ -1030,68 +975,6 @@ func verifyAssembled(xform byte, units []*unit) error {
 			u.assembled[si] = body
 		}
 	}
-	return nil
-}
-
-// fetchAssembled is the one assembled routine, the near-data
-// alternative to the chunked wire path, for epochs and lookahead rounds
-// alike: the group is posted as opReadSamples offload commands whose
-// scatter destinations are per-sample pool buffers (u.assembled), which
-// an epoch hands to NextBatch and a round's caller parks in the store.
-// The target assembles (and transforms) each record from its extents,
-// and the units skip both arena staging and the client copy stage. An
-// *UnsupportedOpError passes through untouched and without a breaker
-// penalty so fetchWire can downgrade the target; every other failure
-// releases the buffers and feeds the breaker exactly like the chunked
-// path.
-func (fs *FS) fetchAssembled(tg *target, units []*unit, park bool) error {
-	xform := fs.assemblyTransform()
-	prep := time.Now()
-	nsamples := 0
-	for _, u := range units {
-		nsamples += len(u.samples)
-	}
-	segs := make([]nvmetcp.SampleSeg, 0, nsamples)
-	slab := make([][]byte, nsamples)
-	var bytes int64
-	for _, u := range units {
-		slab = u.slots(slab)
-		for si, pl := range u.samples {
-			buf := fs.alloc(nvmetcp.TransformOutLen(xform, int(pl.Len)))
-			u.assembled[si] = buf
-			segs = append(segs, nvmetcp.SampleSeg{Dst: buf, Off: pl.Offset, N: int(pl.Len)})
-			bytes += int64(len(buf))
-		}
-		if !park {
-			fs.cfg.Trace.Record(trace.KindPost, u.seq, u.node, int(u.length))
-		}
-	}
-	post := time.Now()
-	pendings, err := fs.postSamples(tg, xform, segs)
-	poll := time.Now()
-	err = waitAll(pendings, err)
-	fs.observeStages(park, prep, post, poll)
-	if err == nil {
-		err = verifyAssembled(xform, units)
-	}
-	if err != nil {
-		for _, u := range units {
-			fs.freeUnit(u)
-		}
-		var ue *nvmetcp.UnsupportedOpError
-		if !errors.As(err, &ue) { // a capability miss is not a health failure
-			tg.noteFailure(err)
-		}
-		return err
-	}
-	// Only the records themselves ride the response payload: bytes is
-	// exactly the post-transform sample bytes. The per-record length
-	// block is framing, like capsule headers, and is excluded just as
-	// opReadVec excludes its header.
-	fs.landed(units, park, len(pendings), len(segs), bytes)
-	fs.pipe.OffloadCmds.Add(int64(len(pendings)))
-	fs.pipe.OffloadSamples.Add(int64(len(segs)))
-	tg.brk.Success()
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -10,12 +11,25 @@ import (
 	"dlfs/internal/nvmetcp"
 )
 
-// startLegacyTargets stands up n targets that reject opReadSamples with
-// statusBadOp — the pre-offload opcode set of a rolling upgrade.
-func startLegacyTargets(t *testing.T, n int) []string {
+// startLegacyTargets stands up n targets that reject opReadSamples,
+// opWriteVec and opFlush with statusBadOp — the older opcode set of a
+// rolling upgrade — and returns them with the addresses they are that
+// old at and the proxies that make them so.
+func startLegacyTargets(t *testing.T, n int) ([]*nvmetcp.Target, []string, []*chaos.Proxy) {
 	t.Helper()
-	_, addrs := startTargetObjs(t, n, 256<<20, nvmetcp.Config{Depth: 32, LegacyOps: true})
-	return addrs
+	tgts, addrs := startTargetObjs(t, n, 256<<20, nvmetcp.Config{Depth: 32})
+	olds := make([]*chaos.Proxy, n)
+	for i, a := range addrs {
+		old := chaos.NewProxy(a, chaos.Config{})
+		old.MaskOps(nvmetcp.OpReadSamples, nvmetcp.OpWriteVec, nvmetcp.OpFlush)
+		oaddr, err := old.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { old.Close() }) //nolint:errcheck
+		addrs[i], olds[i] = oaddr, old
+	}
+	return tgts, addrs, olds
 }
 
 // datasetBytes sums the post-extraction size of every sample.
@@ -129,7 +143,7 @@ func TestMountRejectsSizedlessTransform(t *testing.T) {
 // vectored chunk path — never fail — and the capability latch must
 // stop re-probing on later epochs.
 func TestLegacyTargetDowngradeEpoch(t *testing.T) {
-	addrs := startLegacyTargets(t, 2)
+	_, addrs, _ := startLegacyTargets(t, 2)
 	ds := testDS(100, 2000)
 	fs, err := Mount(addrs, ds, Config{ChunkSize: 8 << 10, ServerAssembly: true})
 	if err != nil {
@@ -156,6 +170,84 @@ func TestLegacyTargetDowngradeEpoch(t *testing.T) {
 	if after := fs.Pipeline().Snapshot(); after.OffloadDowngrades != pl.OffloadDowngrades {
 		t.Fatalf("downgrades grew from %d to %d across epochs: the latch must stop re-probing",
 			pl.OffloadDowngrades, after.OffloadDowngrades)
+	}
+}
+
+// TestLegacyTargetLatchedOncePerOpcode mounts, runs epochs and saves
+// checkpoints against targets that reject all three newer opcodes, and
+// counts what the targets were asked. Each kind is turned away once per
+// target, by the first command of that kind (a barrier is one command
+// per queue pair), and never sent again; none of it is a failed fetch, a
+// retry or a breaker event, and the downgrade counters read what they
+// always read: one OffloadDowngrades per rejected fetch, one
+// CkptDowngrades per target for opWriteVec and one per barrier a save
+// did without.
+func TestLegacyTargetLatchedOncePerOpcode(t *testing.T) {
+	const nt, qps = 2, 2
+	_, addrs, olds := startLegacyTargets(t, nt)
+	masked := func() (n int64) {
+		for _, o := range olds {
+			n += o.Stats().Masked
+		}
+		return n
+	}
+	ds := testDS(100, 2000)
+	// One fetch worker, so a target's first opReadSamples is answered
+	// before its second fetch is built.
+	fs, err := Mount(addrs, ds, Config{ChunkSize: 8 << 10, ServerAssembly: true, QueuePairs: qps, Prefetchers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close() //nolint:errcheck
+	if got := masked(); got != nt*qps {
+		t.Fatalf("mount: %d masked commands, want each shard's barrier once per queue pair (%d)", got, nt*qps)
+	}
+
+	drainEpoch(t, fs, ds, 3)
+	if got := masked(); got != nt*qps+nt {
+		t.Fatalf("first epoch: %d masked commands, want one opReadSamples per target more (%d)", got, nt*qps+nt)
+	}
+	// 22 shards, 11 a target, in one gathered batch each.
+	ck, err := fs.Checkpointer(CheckpointConfig{ShardBytes: 32 << 10, RankRegionBytes: 8 << 20, SegsPerCmd: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := uint64(1); step <= 2; step++ {
+		state := ckptState(int64(step), 700<<10)
+		if err := ck.Save(step, state); err != nil {
+			t.Fatalf("save %d: %v", step, err)
+		}
+		got, at, err := ck.Load()
+		if err != nil || at != step || !bytes.Equal(got, state) {
+			t.Fatalf("load after save %d: step %d, err %v, equal %v", step, at, err, bytes.Equal(got, state))
+		}
+		fs.Recycle(got)
+		drainEpoch(t, fs, ds, 3+int64(step))
+	}
+	if got, want := masked(), int64(nt*qps+nt+nt); got != want {
+		t.Fatalf("after two saves and two more epochs: %d masked commands, want one opWriteVec per target more and nothing else (%d)", got, want)
+	}
+
+	st := fs.Stats()
+	for i, tg := range fs.targets {
+		if !tg.noAssembly.Load() || !tg.noVec.Load() || !tg.noFlush.Load() {
+			t.Fatalf("target %d: latches assembly %v, vec %v, flush %v, want all set",
+				i, tg.noAssembly.Load(), tg.noVec.Load(), tg.noFlush.Load())
+		}
+		if h := st.Targets[i]; h.State != "closed" || h.ConsecFails != 0 {
+			t.Fatalf("target %d: breaker %+v after downgrades only", i, h)
+		}
+	}
+	if r := st.Resilience; r.BreakerTrips != 0 || r.BreakerProbes != 0 || r.Retries != 0 || r.Reconnects != 0 || r.DegradedSamples != 0 {
+		t.Fatalf("a downgrade was taken for a failure: %s", r)
+	}
+	pl := st.Pipeline
+	if pl.OffloadDowngrades != nt || pl.OffloadCmds != 0 {
+		t.Fatalf("OffloadDowngrades %d, OffloadCmds %d, want %d and 0", pl.OffloadDowngrades, pl.OffloadCmds, nt)
+	}
+	// Per save: a barrier per target that took shards and the manifest's.
+	if want := int64(nt + 2*(nt+1)); pl.CkptDowngrades != want || pl.CkptFlushes != 0 {
+		t.Fatalf("CkptDowngrades %d, CkptFlushes %d, want %d and 0", pl.CkptDowngrades, pl.CkptFlushes, want)
 	}
 }
 

@@ -104,19 +104,11 @@ func (fs *FS) servePeer(idx int) ([]byte, error) {
 			return hit, nil
 		}
 	}
-	pl := fs.placed[idx]
-	buf := fs.alloc(int(pl.Len))
-	if err := fs.targets[fs.nodeOf[idx]].read(buf, pl.Offset); err != nil {
-		fs.Recycle(buf)
-		return nil, err
+	buf, err := fs.readOrigin(idx)
+	if err == nil {
+		fs.pipe.PeerServed.Add(1)
 	}
-	fs.pipe.OriginReads.Add(1)
-	fs.pipe.OriginBytes.Add(int64(pl.Len))
-	if fs.scache != nil {
-		fs.scache.put(idx, buf)
-	}
-	fs.pipe.PeerServed.Add(1)
-	return buf, nil
+	return buf, err
 }
 
 // peerFetch tries the owning peer for sample idx. nil means the caller

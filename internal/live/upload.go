@@ -111,62 +111,49 @@ func (bw *bulkWriter) worker() {
 	}
 }
 
-// send ships one batch and waits for it. A batch the tenant's quota
-// turned away is backpressure from a healthy target, not a failure:
-// once the queue pair's own retry budget is spent against the quota the
-// batch goes again after the target's hint, for as long as the target
-// keeps answering. Every admitted command is progress, so a mount under
-// a quota is slow, never stuck, and the breaker never hears of it.
+// send ships one batch and waits for it: several segments as one
+// gathered opWriteVec where the target speaks it, otherwise one pipelined
+// opWrite per segment. A target that turns opWriteVec away (an
+// old-opcode build in a rolling upgrade; target.send latches it) gets
+// the batch again as plain writes; fixed-offset writes are idempotent,
+// so nothing is lost by it.
+//
+// A batch the tenant's quota turned away is backpressure from a healthy
+// target, not a failure: once the queue pair's own retry budget is spent
+// against the quota the batch goes again after the target's hint, for as
+// long as the target keeps answering. Every admitted command is
+// progress, so a mount under a quota is slow, never stuck, and the
+// breaker never hears of it.
 func (bw *bulkWriter) send(segs []nvmetcp.WSeg) error {
-	for {
-		err := bw.sendOnce(segs)
-		var te *nvmetcp.ThrottledError
-		if !errors.As(err, &te) {
-			return err
-		}
-		time.Sleep(max(te.RetryAfter, time.Millisecond))
-	}
-}
-
-// sendOnce puts one batch on the wire: several segments as one gathered
-// opWriteVec where the target speaks it, otherwise one pipelined opWrite
-// per segment. A target that rejects opWriteVec (an old-opcode build in
-// a rolling upgrade) is latched and the batch goes again as plain
-// writes; fixed-offset writes are idempotent, so nothing is lost by it.
-func (bw *bulkWriter) sendOnce(segs []nvmetcp.WSeg) error {
 	tg := bw.tg
-	start := time.Now()
-	if len(segs) > 1 && !tg.noVec.Load() {
-		pd, err := tg.qp.WriteVecAsync(segs)
-		if err == nil {
-			_, err = pd.Wait()
-		}
-		var unsup *nvmetcp.UnsupportedOpError
-		if !errors.As(err, &unsup) {
-			if err == nil {
-				bw.observe(segs, start)
+	cmds := []nvmetcp.Command{{Op: nvmetcp.OpWriteVec, WSegs: segs}}
+	for {
+		start := time.Now()
+		if len(segs) == 1 || tg.noVec.Load() {
+			cmds = make([]nvmetcp.Command, len(segs))
+			for i, s := range segs {
+				cmds[i] = nvmetcp.Command{Op: nvmetcp.OpWrite, Buf: s.Src, Off: s.Off}
 			}
+		}
+		err := tg.send(false, nil, nil, cmds...)
+		var te *nvmetcp.ThrottledError
+		switch {
+		case err == nil && len(cmds) == 1:
+			bw.observe(segs, start)
+			return nil
+		case err == nil:
+			for i := range segs {
+				bw.observe(segs[i:i+1], start)
+			}
+			return nil
+		case errors.As(err, &te):
+			time.Sleep(max(te.RetryAfter, time.Millisecond))
+		case err == errLatched && bw.pipe != nil:
+			bw.pipe.CkptDowngrades.Add(1)
+		case !errors.Is(err, errLegacy):
 			return err
 		}
-		if tg.noVec.CompareAndSwap(false, true) && bw.pipe != nil {
-			bw.pipe.CkptDowngrades.Add(1)
-		}
 	}
-	pds := make([]*nvmetcp.RePending, 0, len(segs))
-	var err error
-	for _, s := range segs {
-		var pd *nvmetcp.RePending
-		if pd, err = tg.qp.WriteAsync(s.Src, s.Off); err != nil {
-			break
-		}
-		pds = append(pds, pd)
-	}
-	if err = waitAll(pds, err); err == nil {
-		for i := range segs {
-			bw.observe(segs[i:i+1], start)
-		}
-	}
-	return err
 }
 
 // observe books one completed write command, carrying segs, on the
@@ -180,19 +167,6 @@ func (bw *bulkWriter) observe(segs []nvmetcp.WSeg, start time.Time) {
 		bytes += int64(len(s.Src))
 	}
 	bw.pipe.ObserveCkptWrite(bytes, int64(len(segs)), time.Since(start))
-}
-
-// flush runs the durability barrier on every queue pair of the target
-// and reports whether the target ran it. A target that does not speak
-// opFlush (rolling upgrade) applies each write before completing it, so
-// there the completions the caller already waited for are the barrier.
-func (tg *target) flush() (bool, error) {
-	err := tg.qp.Flush()
-	var unsup *nvmetcp.UnsupportedOpError
-	if errors.As(err, &unsup) {
-		return false, nil
-	}
-	return err == nil, err
 }
 
 // place is the pure half of dlfs_mount: every sample gets its key, its

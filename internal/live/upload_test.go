@@ -89,7 +89,13 @@ func TestMountUploadsShardsAsBatches(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d_targets%d_legacy%v", seed, nt, legacy), func(t *testing.T) {
 			ds := dataset.Generate(dataset.Config{Label: "mix", Seed: seed, NumSamples: n,
 				Dist: sizeMix{drawn: new(int), bigAt: 1 + rng.Intn(n)}})
-			tgts, addrs := startTargetObjs(t, nt, 256<<20, nvmetcp.Config{Depth: 32, LegacyOps: legacy})
+			var tgts []*nvmetcp.Target
+			var addrs []string
+			if legacy {
+				tgts, addrs, _ = startLegacyTargets(t, nt)
+			} else {
+				tgts, addrs = startTargetObjs(t, nt, 256<<20, nvmetcp.Config{Depth: 32})
+			}
 			fs, err := Mount(addrs, ds, Config{ReadCacheBytes: -1})
 			if err != nil {
 				t.Fatal(err)

@@ -29,23 +29,19 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 10 * time.Second
-	}
+	orDefault(&o.DialTimeout, 10*time.Second)
 	if o.RequestTimeout == 0 {
 		o.RequestTimeout = 30 * time.Second
 	}
-	if o.Tenant < 0 {
-		o.Tenant = 0
-	}
+	o.Tenant = max(o.Tenant, 0)
 	return o
 }
 
-// Seg is one scatter segment of a vectored read: len(Dst) bytes fetched
-// from Off land directly in Dst.
-type Seg struct {
-	Dst []byte
-	Off int64
+// orDefault gives a knob that is unset (not positive) its default.
+func orDefault[T int | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
 }
 
 // compl is a command completion delivered from the receive loop.
@@ -57,17 +53,14 @@ type compl struct {
 }
 
 // pendingCmd tracks one in-flight command: its completion channel and the
-// destination memory the response payload scatters into. Destinations are
-// written by the receive loop directly off the socket — the zero-copy
-// contract of the paper's pipeline: payloads land in their cache chunks,
-// never in a transient allocation.
+// Command itself, whose destinations the response payload scatters into.
+// Destinations are written by the receive loop directly off the socket —
+// the zero-copy contract of the paper's pipeline: payloads land in their
+// cache chunks, never in a transient allocation.
 type pendingCmd struct {
-	ch   chan compl
-	dst  []byte      // single-read destination
-	vec  []Seg       // vectored-read destinations, scattered in order
-	smp  []SampleSeg // sample-mode destinations (opReadSamples)
-	lens []int       // caller-owned per-record landed lengths (may be nil)
-	op   byte        // opcode, for typed remote-status mapping
+	ch    chan compl
+	cmd   Command
+	wrote int // data bytes a write carries: what its Wait reports
 
 	// Per-command state that would otherwise be allocated per command:
 	// the handle the submitter waits on, the deadline timer await re-arms
@@ -88,7 +81,7 @@ var pcPool = sync.Pool{New: func() any { return &pendingCmd{ch: make(chan compl,
 func getPending() *pendingCmd { return pcPool.Get().(*pendingCmd) }
 
 func putPending(pc *pendingCmd) {
-	pc.dst, pc.vec, pc.smp, pc.lens, pc.op, pc.pd = nil, nil, nil, nil, 0, Pending{}
+	pc.cmd, pc.wrote, pc.pd = Command{}, 0, Pending{}
 	pcPool.Put(pc)
 }
 
@@ -103,6 +96,7 @@ func (pc *pendingCmd) handle(in *Initiator, id uint64) *Pending {
 // Target with asynchronous submit and out-of-order completion delivery.
 // It is safe for concurrent use.
 type Initiator struct {
+	forms[*Pending]
 	conn     net.Conn
 	opt      Options
 	depth    int
@@ -173,18 +167,17 @@ func ConnectOptions(addr string, opt Options) (*Initiator, error) {
 		return nil, err
 	}
 	conn.SetDeadline(time.Now().Add(opt.DialTimeout)) //nolint:errcheck
-	if err := writeCapsule(conn, &capsule{opcode: opHello}); err != nil {
-		conn.Close() //nolint:errcheck
-		return nil, fmt.Errorf("%w: %w", ErrHandshake, err)
+	err = writeCapsule(conn, &capsule{opcode: opHello})
+	var hello *capsule
+	if err == nil {
+		hello, err = readCapsule(conn)
 	}
-	hello, err := readCapsule(conn)
+	if err == nil && hello.opcode != opHello {
+		err = fmt.Errorf("unexpected opcode %d in hello reply", hello.opcode)
+	}
 	if err != nil {
 		conn.Close() //nolint:errcheck
 		return nil, fmt.Errorf("%w: %w", ErrHandshake, err)
-	}
-	if hello.opcode != opHello {
-		conn.Close() //nolint:errcheck
-		return nil, fmt.Errorf("%w: unexpected opcode %d in hello reply", ErrHandshake, hello.opcode)
 	}
 	conn.SetDeadline(time.Time{}) //nolint:errcheck
 	in := &Initiator{
@@ -196,6 +189,7 @@ func ConnectOptions(addr string, opt Options) (*Initiator, error) {
 		sendHdr:  make([]byte, capsuleHeaderSize),
 		done:     make(chan struct{}),
 	}
+	in.l = in
 	go in.receiveLoop()
 	return in, nil
 }
@@ -278,21 +272,21 @@ func (in *Initiator) receiveLoop() {
 		var rerr error
 		var serr error // semantic sample-frame violation; stream stays framed
 		if ok && status == statusOK {
-			switch {
-			case pc.dst != nil:
-				k := min(len(pc.dst), remaining)
+			switch smp := pc.cmd.Segs; pc.cmd.Op {
+			case OpRead:
+				k := min(len(pc.cmd.Buf), remaining)
 				if k > 0 {
-					_, rerr = io.ReadFull(in.conn, pc.dst[:k])
+					_, rerr = io.ReadFull(in.conn, pc.cmd.Buf[:k])
 					landed += k
 					remaining -= k
 				}
-			case pc.smp != nil:
+			case OpReadSamples:
 				// Sample-mode response: a count×u32 length block, then the
 				// transformed records in request order. A record length
 				// exceeding its destination (or the frame) is a semantic
 				// error — scattering stops and the remainder drains through
 				// scratch below, so the connection survives the bad frame.
-				cnt := len(pc.smp)
+				cnt := len(smp)
 				lb := 4 * cnt
 				if remaining < lb {
 					serr = fmt.Errorf("%w: sample response %d bytes before %d-record length block",
@@ -307,16 +301,16 @@ func (in *Initiator) receiveLoop() {
 				remaining -= lb
 				for i := 0; i < cnt && rerr == nil; i++ {
 					l := int(binary.LittleEndian.Uint32(lbuf[4*i:]))
-					if l > len(pc.smp[i].Dst) || l > remaining {
+					if l > len(smp[i].Dst) || l > remaining {
 						serr = fmt.Errorf("%w: record %d length %d (dst %d, frame %d)",
-							ErrRemote, i, l, len(pc.smp[i].Dst), remaining)
+							ErrRemote, i, l, len(smp[i].Dst), remaining)
 						break
 					}
-					if pc.lens != nil {
-						pc.lens[i] = l
+					if pc.cmd.Lens != nil {
+						pc.cmd.Lens[i] = l
 					}
 					if l > 0 {
-						_, rerr = io.ReadFull(in.conn, pc.smp[i].Dst[:l])
+						_, rerr = io.ReadFull(in.conn, smp[i].Dst[:l])
 						landed += l
 						remaining -= l
 					}
@@ -325,9 +319,9 @@ func (in *Initiator) receiveLoop() {
 					serr = fmt.Errorf("%w: %d stray bytes after %d records", ErrRemote, remaining, cnt)
 				}
 				bufpool.Shared.Put(lbuf)
-			default:
-				for i := 0; i < len(pc.vec) && remaining > 0 && rerr == nil; i++ {
-					d := pc.vec[i].Dst
+			case OpReadVec:
+				for i := 0; i < len(smp) && remaining > 0 && rerr == nil; i++ {
+					d := smp[i].Dst
 					k := min(len(d), remaining)
 					_, rerr = io.ReadFull(in.conn, d[:k])
 					landed += k
@@ -381,7 +375,6 @@ func (in *Initiator) submit(req *capsule, pc *pendingCmd) (uint64, error) {
 	// the legacy default, so tenant-0 frames are byte-identical to the
 	// pre-tenant protocol.
 	req.status = byte(in.opt.Tenant)
-	pc.op = req.opcode
 	in.pending[req.cmdID] = pc
 	in.mu.Unlock()
 
@@ -467,7 +460,7 @@ func (in *Initiator) finish(c compl, ok bool, pc *pendingCmd, id uint64) (int, e
 		return 0, c.err
 	}
 	if c.status != statusOK {
-		op := pc.op
+		op := pc.cmd.Op
 		putPending(pc)
 		if c.status == statusBadOp && (op == opReadSamples || op == opWriteVec || op == opFlush) {
 			// statusBadOp on these opcodes can only mean a target that does
@@ -484,135 +477,103 @@ func (in *Initiator) finish(c compl, ok bool, pc *pendingCmd, id uint64) (int, e
 		}
 		return 0, fmt.Errorf("%w: status %d for command %d", ErrRemote, c.status, id)
 	}
-	n := c.n
+	n := c.n + pc.wrote
 	putPending(pc)
 	return n, nil
 }
 
-// ReadAt reads len(p) bytes at off from the remote store. The payload is
-// received directly into p.
-func (in *Initiator) ReadAt(p []byte, off int64) (int, error) {
-	pd, err := in.ReadAsync(p, off)
+// Submit validates c, frames it and puts it on the wire: the one place
+// a request is encoded, whatever the opcode and whichever layer sent it.
+// A write's payload is gathered from the caller's buffers into a single
+// vectored socket write (only descriptor blocks are staged) and is fully
+// on the wire when Submit returns; Wait confirms the store landing. A
+// target that does not speak OpReadSamples, OpWriteVec or OpFlush
+// completes the command with *UnsupportedOpError.
+func (in *Initiator) Submit(c Command) (*Pending, error) {
+	pc := getPending()
+	req := capsule{opcode: c.Op}
+	var desc []byte // pooled descriptor block: on the wire, or failed, once submit returns
+	var err error
+	switch c.Op {
+	case OpRead:
+		binary.LittleEndian.PutUint32(pc.lenBuf[:], uint32(len(c.Buf)))
+		req.offset, req.payload = uint64(c.Off), pc.lenBuf[:]
+	case OpWrite:
+		req.offset, req.payload, pc.wrote = uint64(c.Off), c.Buf, len(c.Buf)
+	case OpReadVec, OpReadSamples:
+		samples, limit, hdr := c.Op == OpReadSamples, maxVecSegs, 0
+		if samples {
+			limit, hdr = MaxSampleDescs, 1 // the transform byte leads the count
+		}
+		switch {
+		case len(c.Segs) == 0 || len(c.Segs) > limit:
+			err = fmt.Errorf("nvmetcp: read of %d segments", len(c.Segs))
+		case samples && !TransformValid(c.Xform):
+			err = fmt.Errorf("nvmetcp: unknown transform %d", c.Xform)
+		case samples && c.Lens != nil && len(c.Lens) != len(c.Segs):
+			err = fmt.Errorf("nvmetcp: lens holds %d of %d records", len(c.Lens), len(c.Segs))
+		default:
+			desc = bufpool.Shared.Get(hdr + 4 + vecSegSize*len(c.Segs))
+			desc[0] = c.Xform // an OpReadVec's count goes over it
+			binary.LittleEndian.PutUint32(desc[hdr:], uint32(len(c.Segs)))
+			p := hdr + 4
+			for _, s := range c.Segs {
+				n := len(s.Dst)
+				if samples {
+					n = s.N
+				}
+				putDesc(desc[p:], uint64(s.Off), n)
+				p += vecSegSize
+			}
+			req.payload = desc[:p]
+		}
+	case OpWriteVec:
+		if len(c.WSegs) == 0 || len(c.WSegs) > maxVecSegs {
+			err = fmt.Errorf("nvmetcp: vectored write of %d segments", len(c.WSegs))
+			break
+		}
+		dn := writeVecHdrSize + vecSegSize*len(c.WSegs)
+		desc = bufpool.Shared.Get(dn)
+		binary.LittleEndian.PutUint32(desc, uint32(len(c.WSegs)))
+		req.gather = make(net.Buffers, 2, len(c.WSegs)+2)
+		req.gather[1] = desc[:dn]
+		for i, s := range c.WSegs {
+			if len(s.Src) == 0 {
+				err = fmt.Errorf("nvmetcp: vectored write segment %d is empty", i)
+				break
+			}
+			putDesc(desc[writeVecHdrSize+vecSegSize*i:], uint64(s.Off), len(s.Src))
+			req.gather = append(req.gather, s.Src)
+			pc.wrote += len(s.Src)
+		}
+		if err == nil && dn+pc.wrote > maxPayload {
+			err = fmt.Errorf("%w: vectored write of %d bytes", ErrTooLarge, dn+pc.wrote)
+		}
+	case OpFlush:
+	default:
+		err = fmt.Errorf("nvmetcp: opcode %d is not a command", c.Op)
+	}
+	if err != nil {
+		bufpool.Shared.Put(desc)
+		putPending(pc) // never registered: nothing else holds it
+		return nil, err
+	}
+	pc.cmd = c
+	id, err := in.submit(&req, pc)
+	bufpool.Shared.Put(desc)
+	if err != nil {
+		return nil, err
+	}
+	return pc.handle(in, id), nil
+}
+
+// Do submits c and waits for it.
+func (in *Initiator) Do(c Command) (int, error) {
+	pd, err := in.Submit(c)
 	if err != nil {
 		return 0, err
 	}
 	return pd.Wait()
-}
-
-// WriteAt writes p at off on the remote store.
-func (in *Initiator) WriteAt(p []byte, off int64) (int, error) {
-	pd, err := in.WriteAsync(p, off)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := pd.Wait(); err != nil {
-		return 0, err
-	}
-	return len(p), nil
-}
-
-// WriteAsync submits a write of p at off without waiting. The payload
-// is fully on the wire when WriteAsync returns, so the caller may reuse
-// p immediately; Wait() confirms the store landing.
-func (in *Initiator) WriteAsync(p []byte, off int64) (*Pending, error) {
-	pc := getPending()
-	id, err := in.submit(&capsule{opcode: opWrite, offset: uint64(off), payload: p}, pc)
-	if err != nil {
-		return nil, err
-	}
-	return pc.handle(in, id), nil
-}
-
-// WSeg is one gather segment of a vectored write: len(Src) bytes
-// destined for byte offset Off on the remote store.
-type WSeg struct {
-	Src []byte
-	Off int64
-}
-
-// WriteVecAsync submits one gathered write covering every segment — a
-// single wire command whose payload carries the extents' descriptors
-// and bytes, landed by the target under a single seqlock epoch so a
-// multi-extent checkpoint stripe becomes visible atomically. Only the
-// descriptor block is staged; the data segments are gathered straight
-// from the caller's buffers into a single vectored socket write, so no
-// client-side copy of the payload is made. The payload is fully on the
-// wire when WriteVecAsync returns, so source buffers are free for
-// immediate reuse. A target that does not speak the opcode completes
-// with *UnsupportedOpError; callers downgrade to per-extent WriteAt.
-func (in *Initiator) WriteVecAsync(segs []WSeg) (*Pending, error) {
-	if len(segs) == 0 || len(segs) > maxVecSegs {
-		return nil, fmt.Errorf("nvmetcp: vectored write of %d segments", len(segs))
-	}
-	total := 0
-	for i, s := range segs {
-		if len(s.Src) == 0 {
-			return nil, fmt.Errorf("nvmetcp: vectored write segment %d is empty", i)
-		}
-		total += len(s.Src)
-	}
-	framed := writeVecHdrSize + vecSegSize*len(segs) + total
-	if framed > maxPayload {
-		return nil, fmt.Errorf("%w: vectored write of %d bytes", ErrTooLarge, framed)
-	}
-	vsegs := make([]vecSeg, len(segs))
-	for i, s := range segs {
-		vsegs[i] = vecSeg{off: uint64(s.Off), n: uint32(len(s.Src))}
-	}
-	desc := bufpool.Shared.Get(writeVecHdrSize + vecSegSize*len(segs))
-	n := encodeWriteVec(desc, vsegs)
-	gather := make(net.Buffers, 0, len(segs)+1)
-	gather = append(gather, desc[:n])
-	for _, s := range segs {
-		gather = append(gather, s.Src)
-	}
-	pc := getPending()
-	id, err := in.submit(&capsule{opcode: opWriteVec, gather: gather}, pc)
-	bufpool.Shared.Put(desc) // descriptors on the wire (or failed) by now
-	if err != nil {
-		return nil, err
-	}
-	return pc.handle(in, id), nil
-}
-
-// WriteVec performs a synchronous gathered write, returning the total
-// data bytes written.
-func (in *Initiator) WriteVec(segs []WSeg) (int, error) {
-	pd, err := in.WriteVecAsync(segs)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := pd.Wait(); err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, s := range segs {
-		n += len(s.Src)
-	}
-	return n, nil
-}
-
-// FlushAsync submits a durability barrier: it completes only once
-// every write submitted on this connection before it has been applied
-// and the store synced. A target that does not speak the opcode
-// completes with *UnsupportedOpError.
-func (in *Initiator) FlushAsync() (*Pending, error) {
-	pc := getPending()
-	id, err := in.submit(&capsule{opcode: opFlush}, pc)
-	if err != nil {
-		return nil, err
-	}
-	return pc.handle(in, id), nil
-}
-
-// Flush performs a synchronous durability barrier.
-func (in *Initiator) Flush() error {
-	pd, err := in.FlushAsync()
-	if err != nil {
-		return err
-	}
-	_, err = pd.Wait()
-	return err
 }
 
 // Pending is an in-flight asynchronous command. It is valid until Wait
@@ -623,50 +584,10 @@ type Pending struct {
 	id uint64
 }
 
-// ReadAsync submits a read without waiting. Wait() completes it.
-func (in *Initiator) ReadAsync(dst []byte, off int64) (*Pending, error) {
-	pc := getPending()
-	pc.dst = dst
-	binary.LittleEndian.PutUint32(pc.lenBuf[:], uint32(len(dst)))
-	id, err := in.submit(&capsule{opcode: opRead, offset: uint64(off), payload: pc.lenBuf[:]}, pc)
-	if err != nil {
-		return nil, err
-	}
-	return pc.handle(in, id), nil
-}
-
-// ReadVecAsync submits one vectored read covering every segment: a single
-// wire command whose response scatters into the segments' buffers in
-// order. Adjacent chunk reads coalesce into one roundtrip this way.
-func (in *Initiator) ReadVecAsync(segs []Seg) (*Pending, error) {
-	if len(segs) == 0 || len(segs) > maxVecSegs {
-		return nil, fmt.Errorf("nvmetcp: vectored read of %d segments", len(segs))
-	}
-	pay := bufpool.Shared.Get(4 + vecSegSize*len(segs))
-	binary.LittleEndian.PutUint32(pay[0:4], uint32(len(segs)))
-	p := 4
-	for _, s := range segs {
-		binary.LittleEndian.PutUint64(pay[p:p+8], uint64(s.Off))
-		binary.LittleEndian.PutUint32(pay[p+8:p+12], uint32(len(s.Dst)))
-		p += vecSegSize
-	}
-	pc := getPending()
-	pc.vec = segs
-	id, err := in.submit(&capsule{opcode: opReadVec, payload: pay[:p]}, pc)
-	bufpool.Shared.Put(pay) // frame fully written (or failed) by now
-	if err != nil {
-		return nil, err
-	}
-	return pc.handle(in, id), nil
-}
-
-// ReadVec performs a synchronous vectored read.
-func (in *Initiator) ReadVec(segs []Seg) (int, error) {
-	pd, err := in.ReadVecAsync(segs)
-	if err != nil {
-		return 0, err
-	}
-	return pd.Wait()
+// Wait blocks until the command completes and returns the payload bytes
+// it moved: a read's have then landed in the destination buffer(s).
+func (pd *Pending) Wait() (int, error) {
+	return pd.in.await(pd.pc, pd.id)
 }
 
 // ThrottledError reports a command rejected by the target's per-tenant
@@ -697,69 +618,6 @@ func (e *UnsupportedOpError) Error() string {
 }
 
 func (e *UnsupportedOpError) Unwrap() error { return ErrRemote }
-
-// SampleSeg describes one record of a server-assembled read
-// (opReadSamples): N stored bytes at Off, transformed target-side, its
-// output landing in Dst. Dst must hold TransformOutLen(xform, N) bytes
-// for fixed-size transforms, or the expansion bound for TransformFlate.
-type SampleSeg struct {
-	Dst []byte
-	Off int64
-	N   int
-}
-
-// ReadSamplesAsync submits one opReadSamples offload command: the
-// target assembles every described record from its extents, applies the
-// transform, and responds with exactly the post-transform bytes, which
-// scatter directly into the segments' Dst buffers. lens, when non-nil,
-// must have len(segs) entries; the receive loop fills it with each
-// record's landed length (needed by size-changing transforms). A target
-// that does not speak the opcode completes with *UnsupportedOpError.
-func (in *Initiator) ReadSamplesAsync(xform byte, segs []SampleSeg, lens []int) (*Pending, error) {
-	if len(segs) == 0 || len(segs) > MaxSampleDescs {
-		return nil, fmt.Errorf("nvmetcp: sample read of %d records", len(segs))
-	}
-	if !TransformValid(xform) {
-		return nil, fmt.Errorf("nvmetcp: unknown transform %d", xform)
-	}
-	if lens != nil && len(lens) != len(segs) {
-		return nil, fmt.Errorf("nvmetcp: lens holds %d of %d records", len(lens), len(segs))
-	}
-	pay := bufpool.Shared.Get(sampleHdrSize + sampleDescSize*len(segs))
-	pay[0] = xform
-	binary.LittleEndian.PutUint32(pay[1:5], uint32(len(segs)))
-	p := sampleHdrSize
-	for _, s := range segs {
-		binary.LittleEndian.PutUint64(pay[p:p+8], uint64(s.Off))
-		binary.LittleEndian.PutUint32(pay[p+8:p+12], uint32(s.N))
-		p += sampleDescSize
-	}
-	pc := getPending()
-	pc.smp = segs
-	pc.lens = lens
-	id, err := in.submit(&capsule{opcode: opReadSamples, payload: pay[:p]}, pc)
-	bufpool.Shared.Put(pay) // frame fully written (or failed) by now
-	if err != nil {
-		return nil, err
-	}
-	return pc.handle(in, id), nil
-}
-
-// ReadSamples performs a synchronous server-assembled read, returning
-// the total payload bytes landed.
-func (in *Initiator) ReadSamples(xform byte, segs []SampleSeg, lens []int) (int, error) {
-	pd, err := in.ReadSamplesAsync(xform, segs, lens)
-	if err != nil {
-		return 0, err
-	}
-	return pd.Wait()
-}
-
-// Wait blocks until the read completes; the payload has then landed in
-// the destination buffer(s).
-func (pd *Pending) Wait() (int, error) {
-	return pd.in.await(pd.pc, pd.id)
-}
 
 // Close tears the connection down; outstanding commands fail promptly
 // with ErrClosed (the closed flag is set before the socket is torn down,

@@ -89,8 +89,9 @@ const maxPayload = 64 << 20
 
 // capsule is one frame in either direction. A request whose payload is
 // scattered across caller buffers sets gather instead of payload: the
-// segments go to the socket in one vectored write, so the client never
-// stages a gathered command's data into a contiguous frame.
+// segments, from gather[1] on (gather[0] is the header's place), go to
+// the socket in one vectored write, so the client never stages a
+// gathered command's data into a contiguous frame.
 type capsule struct {
 	cmdID   uint64
 	opcode  byte
@@ -143,18 +144,16 @@ func writeCapsuleHdr(w io.Writer, c *capsule, hdr []byte) error {
 	hdr = hdr[:capsuleHeaderSize]
 	if c.gather != nil {
 		total := 0
-		for _, s := range c.gather {
+		for _, s := range c.gather[1:] {
 			total += len(s)
 		}
 		encodeHdr(hdr, c.cmdID, c.opcode, c.status, c.offset, total)
 		// One writev covering header, descriptor block and every data
 		// segment: the payload goes from the caller's buffers to the
-		// socket without a staging copy. WriteTo consumes the slice, so
-		// build the iovec fresh each send.
-		bufs := make(net.Buffers, 0, len(c.gather)+1)
-		bufs = append(bufs, hdr)
-		bufs = append(bufs, c.gather...)
-		_, err := bufs.WriteTo(w)
+		// socket without a staging copy. WriteTo consumes the slice: a
+		// capsule is gathered for one send.
+		c.gather[0] = hdr
+		_, err := c.gather.WriteTo(w)
 		return err
 	}
 	encodeHdr(hdr, c.cmdID, c.opcode, c.status, c.offset, len(c.payload))
@@ -221,6 +220,13 @@ type vecSeg struct {
 	n   uint32
 }
 
+// putDesc encodes one (offset, length) descriptor, the pair all three
+// vectored opcodes list, into dst (len >= vecSegSize).
+func putDesc(dst []byte, off uint64, n int) {
+	binary.LittleEndian.PutUint64(dst[0:8], off)
+	binary.LittleEndian.PutUint32(dst[8:12], uint32(n))
+}
+
 // decodeVec parses an opReadVec request payload, bounding both segment
 // count and total response size.
 func decodeVec(payload []byte) ([]vecSeg, int, error) {
@@ -285,8 +291,7 @@ func encodeSampleList(dst []byte, xform byte, segs []vecSeg) int {
 	binary.LittleEndian.PutUint32(dst[1:5], uint32(len(segs)))
 	p := sampleHdrSize
 	for _, s := range segs {
-		binary.LittleEndian.PutUint64(dst[p:p+8], s.off)
-		binary.LittleEndian.PutUint32(dst[p+8:p+12], s.n)
+		putDesc(dst[p:], s.off, int(s.n))
 		p += sampleDescSize
 	}
 	return p
@@ -350,8 +355,7 @@ func encodeWriteVec(dst []byte, segs []vecSeg) int {
 	binary.LittleEndian.PutUint32(dst[0:4], uint32(len(segs)))
 	p := writeVecHdrSize
 	for _, s := range segs {
-		binary.LittleEndian.PutUint64(dst[p:p+8], s.off)
-		binary.LittleEndian.PutUint32(dst[p+8:p+12], s.n)
+		putDesc(dst[p:], s.off, int(s.n))
 		p += vecSegSize
 	}
 	return p

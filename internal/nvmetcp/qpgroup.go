@@ -14,7 +14,7 @@ import (
 // whole chunk stream; each pair recovers independently (its own backoff
 // schedule, shared resilience counters). It is safe for concurrent use.
 type QPGroup struct {
-	addr string
+	forms[*RePending]
 	qps  []*Reconnector
 	next atomic.Uint64
 }
@@ -26,7 +26,8 @@ func NewQPGroup(addr string, n int, opt Options, policy RetryPolicy, counters *m
 	if n < 1 {
 		n = 1
 	}
-	g := &QPGroup{addr: addr, qps: make([]*Reconnector, n)}
+	g := &QPGroup{qps: make([]*Reconnector, n)}
+	g.l = g
 	for i := 0; i < n; i++ {
 		p := policy
 		p.Seed = policy.Seed*31 + int64(i)*0x9E3779B9 + 1
@@ -42,16 +43,13 @@ func NewQPGroup(addr string, n int, opt Options, policy RetryPolicy, counters *m
 	return g, nil
 }
 
-// Addr returns the target address.
-func (g *QPGroup) Addr() string { return g.addr }
-
 // NumQPs returns the number of queue pairs in the group.
 func (g *QPGroup) NumQPs() int { return len(g.qps) }
 
 // Capacity returns the capacity negotiated at first connect.
 func (g *QPGroup) Capacity() int64 { return g.qps[0].Capacity() }
 
-// pick stripes commands across the pairs round-robin.
+// pick is the stripe: the next pair, round-robin.
 func (g *QPGroup) pick() *Reconnector {
 	if len(g.qps) == 1 {
 		return g.qps[0]
@@ -59,32 +57,18 @@ func (g *QPGroup) pick() *Reconnector {
 	return g.qps[g.next.Add(1)%uint64(len(g.qps))]
 }
 
-// ReadAt reads len(p) bytes at off on the next queue pair in the stripe.
-func (g *QPGroup) ReadAt(p []byte, off int64) (int, error) { return g.pick().ReadAt(p, off) }
+// Submit puts c in flight on the next queue pair in the stripe. (An
+// OpFlush submitted here covers that one pair's writes; Do and Flush
+// are the barrier over the group.)
+func (g *QPGroup) Submit(c Command) (*RePending, error) { return g.pick().Submit(c) }
 
-// WriteAt writes p at off on the next queue pair in the stripe.
-func (g *QPGroup) WriteAt(p []byte, off int64) (int, error) { return g.pick().WriteAt(p, off) }
-
-// ReadVecAsync submits a pipelined vectored read on the next queue pair.
-func (g *QPGroup) ReadVecAsync(segs []Seg) (*RePending, error) {
-	return g.pick().ReadVecAsync(segs)
-}
-
-// ReadSamplesAsync submits a pipelined server-assembled read on the
-// next queue pair.
-func (g *QPGroup) ReadSamplesAsync(xform byte, segs []SampleSeg, lens []int) (*RePending, error) {
-	return g.pick().ReadSamplesAsync(xform, segs, lens)
-}
-
-// WriteAsync submits a pipelined write on the next queue pair.
-func (g *QPGroup) WriteAsync(p []byte, off int64) (*RePending, error) {
-	return g.pick().WriteAsync(p, off)
-}
-
-// WriteVecAsync submits a pipelined gathered write on the next queue
-// pair.
-func (g *QPGroup) WriteVecAsync(segs []WSeg) (*RePending, error) {
-	return g.pick().WriteVecAsync(segs)
+// Do runs c to completion on the next queue pair in the stripe; a
+// barrier on all of them.
+func (g *QPGroup) Do(c Command) (int, error) {
+	if c.Op == OpFlush {
+		return 0, g.Flush()
+	}
+	return g.pick().Do(c)
 }
 
 // Flush issues a durability barrier on every queue pair in the group —

@@ -20,15 +20,9 @@ type RetryPolicy struct {
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxRetries <= 0 {
-		p.MaxRetries = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 5 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 500 * time.Millisecond
-	}
+	orDefault(&p.MaxRetries, 4)
+	orDefault(&p.BaseDelay, 5*time.Millisecond)
+	orDefault(&p.MaxDelay, 500*time.Millisecond)
 	return p
 }
 
@@ -40,6 +34,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // deliberate close) are returned immediately. It is safe for concurrent
 // use; a single re-dial serves all waiting operations.
 type Reconnector struct {
+	forms[*RePending]
 	addr     string
 	opt      Options
 	policy   RetryPolicy
@@ -50,7 +45,6 @@ type Reconnector struct {
 	rng    *rand.Rand
 	closed bool
 
-	depth    int
 	capacity int64
 }
 
@@ -69,21 +63,15 @@ func NewReconnector(addr string, opt Options, policy RetryPolicy, counters *metr
 		counters: counters,
 		rng:      rand.New(rand.NewSource(policy.Seed ^ 0x5DEECE66D)),
 	}
+	r.l = r
 	in, err := ConnectOptions(addr, opt)
 	if err != nil {
 		return nil, err
 	}
 	r.in = in
-	r.depth = in.Depth()
 	r.capacity = in.Capacity()
 	return r, nil
 }
-
-// Addr returns the target address.
-func (r *Reconnector) Addr() string { return r.addr }
-
-// Depth returns the queue depth negotiated at first connect.
-func (r *Reconnector) Depth() int { return r.depth }
 
 // Capacity returns the capacity negotiated at first connect.
 func (r *Reconnector) Capacity() int64 { return r.capacity }
@@ -162,24 +150,31 @@ func (r *Reconnector) noteFailure(in *Initiator, err error) {
 	}
 }
 
-// do runs op against the current queue pair, retrying per policy. A
-// throttled command waits out the larger of the backoff step and the
-// target's retry-after hint, so the retry lands after the tenant's
-// token bucket has refilled instead of burning attempts against it.
-func (r *Reconnector) do(op func(*Initiator) error) error {
+// Do runs c to completion on the current queue pair, sending it again per
+// policy: with Submit's handle, the one place a command is retried. The
+// rule is the same for every opcode because every opcode is safe to
+// repeat: reads are stateless (re-landing bytes in the same destinations
+// is harmless), writes land at fixed offsets, and a barrier re-issued on
+// a fresh connection still covers the caller's prior writes, whose
+// completions prove the target already applied them. Remote errors,
+// *UnsupportedOpError among them, are never retried. A throttled command
+// waits out the larger of the backoff step and the target's retry-after
+// hint, so the retry lands after the tenant's token bucket has refilled
+// instead of burning attempts against it.
+func (r *Reconnector) Do(c Command) (int, error) {
 	for attempt := 0; ; attempt++ {
 		in, err := r.initiator()
 		if err == nil {
-			err = op(in)
-			if err == nil {
-				return nil
+			var n int
+			if n, err = in.Do(c); err == nil {
+				return n, nil
 			}
 		}
 		if !IsRetryable(err) {
-			return err
+			return 0, err
 		}
 		if attempt >= r.policy.MaxRetries {
-			return fmt.Errorf("nvmetcp: %s: %d attempts exhausted: %w", r.addr, attempt+1, err)
+			return 0, fmt.Errorf("nvmetcp: %s: %d attempts exhausted: %w", r.addr, attempt+1, err)
 		}
 		r.noteFailure(in, err)
 		r.counters.Retries.Add(1)
@@ -192,140 +187,26 @@ func (r *Reconnector) do(op func(*Initiator) error) error {
 	}
 }
 
-// ReadAt reads len(p) bytes at off, retrying per policy.
-func (r *Reconnector) ReadAt(p []byte, off int64) (int, error) {
-	var n int
-	err := r.do(func(in *Initiator) error {
-		var e error
-		n, e = in.ReadAt(p, off)
-		return e
-	})
-	return n, err
-}
-
-// WriteAt writes p at off, retrying per policy. Writes are idempotent at
-// fixed offsets, so re-issuing after a lost connection is safe.
-func (r *Reconnector) WriteAt(p []byte, off int64) (int, error) {
-	var n int
-	err := r.do(func(in *Initiator) error {
-		var e error
-		n, e = in.WriteAt(p, off)
-		return e
-	})
-	return n, err
-}
-
-// WriteVec performs a synchronous gathered write, retrying per policy.
-// Like WriteAt, every extent lands at a fixed offset, so re-issuing the
-// whole vector after a lost connection is idempotent. An
-// *UnsupportedOpError is not retryable and returns immediately — the
-// caller's downgrade signal to per-extent WriteAt.
-func (r *Reconnector) WriteVec(segs []WSeg) (int, error) {
-	var n int
-	err := r.do(func(in *Initiator) error {
-		var e error
-		n, e = in.WriteVec(segs)
-		return e
-	})
-	return n, err
-}
-
-// Flush issues a durability barrier, retrying per policy. A barrier
-// re-issued on a fresh connection still covers the caller's prior
-// writes: writes that completed before Flush was called have already
-// been applied by the target (their completions prove it), so the
-// fresh connection's barrier — trivially past its own zero admitted
-// writes — syncs the store they landed in.
-func (r *Reconnector) Flush() error {
-	return r.do(func(in *Initiator) error { return in.Flush() })
-}
-
-// ReadVec performs a synchronous vectored read, retrying per policy. The
-// whole vector is re-issued on a fresh connection after a retryable
-// failure; segment reads are stateless, so re-landing bytes in the same
-// destination buffers is safe.
-func (r *Reconnector) ReadVec(segs []Seg) (int, error) {
-	var n int
-	err := r.do(func(in *Initiator) error {
-		var e error
-		n, e = in.ReadVec(segs)
-		return e
-	})
-	return n, err
-}
-
-// ReadSamples performs a synchronous server-assembled read
-// (opReadSamples), retrying per policy. Record reads are stateless, so
-// re-landing transformed output in the same destinations is safe. An
-// *UnsupportedOpError is not retryable and returns immediately — the
-// caller's downgrade signal.
-func (r *Reconnector) ReadSamples(xform byte, segs []SampleSeg, lens []int) (int, error) {
-	var n int
-	err := r.do(func(in *Initiator) error {
-		var e error
-		n, e = in.ReadSamples(xform, segs, lens)
-		return e
-	})
-	return n, err
-}
-
 // RePending is an in-flight asynchronous command through a Reconnector.
-// Wait falls back to the retrying synchronous path when the pipelined
+// It keeps the Command: Wait replays it through Do when the pipelined
 // submission failed or its completion is lost.
 type RePending struct {
-	r     *Reconnector
-	in    *Initiator
-	pd    *Pending
-	off   int64       // device offset of a single write
-	segs  []Seg       // non-nil for vectored reads
-	smp   []SampleSeg // non-nil for server-assembled reads
-	lens  []int
-	xform byte
-	wsrc  []byte // single writes (recovery re-sends from it)
-	wsegs []WSeg // non-nil for gathered writes
+	r   *Reconnector
+	in  *Initiator
+	pd  *Pending // nil when the submission itself failed retryably
+	cmd Command
 }
 
-// ReadVecAsync submits a pipelined vectored read covering every segment.
-// A retryable submission failure is deferred: the returned RePending
-// recovers in Wait via the reconnecting ReadVec. Non-retryable failures
-// return immediately.
-func (r *Reconnector) ReadVecAsync(segs []Seg) (*RePending, error) {
-	rp := &RePending{r: r, segs: segs}
-	return r.startAsync(rp, func(in *Initiator) (*Pending, error) { return in.ReadVecAsync(segs) })
-}
-
-// ReadSamplesAsync submits a pipelined server-assembled read. Retryable
-// failures recover in Wait via the reconnecting ReadSamples.
-func (r *Reconnector) ReadSamplesAsync(xform byte, segs []SampleSeg, lens []int) (*RePending, error) {
-	rp := &RePending{r: r, smp: segs, lens: lens, xform: xform}
-	return r.startAsync(rp, func(in *Initiator) (*Pending, error) { return in.ReadSamplesAsync(xform, segs, lens) })
-}
-
-// WriteAsync submits a pipelined write. Recovery in Wait re-sends from
-// p, so the caller must keep p intact until Wait returns — the price of
-// idempotent resubmission after a mid-write connection loss.
-func (r *Reconnector) WriteAsync(p []byte, off int64) (*RePending, error) {
-	rp := &RePending{r: r, wsrc: p, off: off}
-	return r.startAsync(rp, func(in *Initiator) (*Pending, error) { return in.WriteAsync(p, off) })
-}
-
-// WriteVecAsync submits a pipelined gathered write. Recovery in Wait
-// re-sends the whole vector from the segments' Src buffers, so they
-// must stay intact until Wait returns.
-func (r *Reconnector) WriteVecAsync(segs []WSeg) (*RePending, error) {
-	rp := &RePending{r: r, wsegs: segs}
-	return r.startAsync(rp, func(in *Initiator) (*Pending, error) { return in.WriteVecAsync(segs) })
-}
-
-func (r *Reconnector) startAsync(rp *RePending, start func(*Initiator) (*Pending, error)) (*RePending, error) {
+// Submit puts c in flight on the current queue pair. A retryable
+// submission failure is deferred to Wait; any other returns at once.
+func (r *Reconnector) Submit(c Command) (*RePending, error) {
+	rp := &RePending{r: r, cmd: c}
 	in, err := r.initiator()
 	if err == nil {
-		pd, aerr := start(in)
-		if aerr == nil {
-			rp.in, rp.pd = in, pd
+		if rp.pd, err = in.Submit(c); err == nil {
+			rp.in = in
 			return rp, nil
 		}
-		err = aerr
 	}
 	if !IsRetryable(err) {
 		return nil, err
@@ -334,31 +215,19 @@ func (r *Reconnector) startAsync(rp *RePending, start func(*Initiator) (*Pending
 	return rp, nil
 }
 
-// Wait completes the command, recovering retryable failures through the
-// reconnecting synchronous path.
+// Wait completes the command, recovering a retryable failure by running
+// the stored Command again.
 func (rp *RePending) Wait() (int, error) {
 	if rp.pd != nil {
 		n, err := rp.pd.Wait()
-		if err == nil {
-			return n, nil
-		}
-		if !IsRetryable(err) {
-			return 0, err
+		if err == nil || !IsRetryable(err) {
+			return n, err
 		}
 		rp.r.noteFailure(rp.in, err)
 		rp.pd = nil
 	}
 	rp.r.counters.Retries.Add(1)
-	if rp.smp != nil {
-		return rp.r.ReadSamples(rp.xform, rp.smp, rp.lens)
-	}
-	if rp.segs != nil {
-		return rp.r.ReadVec(rp.segs)
-	}
-	if rp.wsegs != nil {
-		return rp.r.WriteVec(rp.wsegs)
-	}
-	return rp.r.WriteAt(rp.wsrc, rp.off)
+	return rp.r.Do(rp.cmd)
 }
 
 // Close retires the wrapper; subsequent operations fail with ErrClosed.

@@ -10,7 +10,23 @@ import (
 	"testing"
 
 	"dlfs/internal/blockdev"
+	"dlfs/internal/chaos"
 )
+
+// oldBuild puts a proxy in front of the target at addr that hides
+// opReadSamples, opWriteVec and opFlush from it, and returns the address
+// at which it therefore looks like a build from before they existed.
+func oldBuild(t *testing.T, addr string) string {
+	t.Helper()
+	old := chaos.NewProxy(addr, chaos.Config{})
+	old.MaskOps(opReadSamples, opWriteVec, opFlush)
+	oaddr, err := old.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { old.Close() }) //nolint:errcheck
+	return oaddr
+}
 
 // sampleListPayload frames a raw opReadSamples request for rejection
 // tests that need malformed counts/lengths encodeSampleList refuses to
@@ -243,7 +259,8 @@ func TestReadSamplesStatusMapping(t *testing.T) {
 }
 
 // TestLegacyTargetDowngrade pairs a new client with an old-opcode
-// target (Config.LegacyOps): opReadSamples must complete with the typed
+// target (a current one behind a proxy that hides the newer opcodes from
+// it): opReadSamples must complete with the typed
 // *UnsupportedOpError — non-retryable, so the Reconnector returns it
 // immediately — while the legacy opcodes keep working on the same
 // connection. This is the rolling-upgrade downgrade contract.
@@ -253,12 +270,13 @@ func TestLegacyTargetDowngrade(t *testing.T) {
 	if _, err := store.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
-	tgt := NewTargetConfig(store, Config{Depth: 8, LegacyOps: true})
-	addr, err := tgt.Listen("127.0.0.1:0")
+	tgt := NewTargetConfig(store, Config{Depth: 8})
+	taddr, err := tgt.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tgt.Close() }) //nolint:errcheck
+	addr := oldBuild(t, taddr)
 
 	segs := []SampleSeg{{Dst: make([]byte, 512), Off: 0, N: 512}}
 	t.Run("initiator", func(t *testing.T) {

@@ -79,38 +79,19 @@ type Config struct {
 	// always-on counters. Off by default: the disabled path adds nothing
 	// beyond the existing counter arithmetic.
 	StageHistograms bool
-
-	// LegacyOps rejects opReadSamples, opWriteVec and opFlush with
-	// statusBadOp, emulating an older target in rolling-upgrade tests: a
-	// new client must downgrade (to opReadVec / per-extent opWrite),
-	// never fail.
-	LegacyOps bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.Depth <= 0 {
-		c.Depth = 64
-	}
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
+	orDefault(&c.Depth, 64)
+	orDefault(&c.Workers, 4)
+	orDefault(&c.QueueDepth, 256)
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = 30 * time.Second
 	}
-	if c.MaxTenants <= 0 {
-		c.MaxTenants = 8
-	}
-	if c.MaxTenants > MaxTenantID+1 {
-		c.MaxTenants = MaxTenantID + 1
-	}
+	orDefault(&c.MaxTenants, 8)
+	c.MaxTenants = min(c.MaxTenants, MaxTenantID+1)
 	if c.TenantQueueDepth == 0 {
-		c.TenantQueueDepth = c.QueueDepth / 4
-		if c.TenantQueueDepth < 64 {
-			c.TenantQueueDepth = 64
-		}
+		c.TenantQueueDepth = max(c.QueueDepth/4, 64)
 	} else if c.TenantQueueDepth < 0 {
 		c.TenantQueueDepth = -1
 	}
@@ -457,7 +438,7 @@ func (t *Target) readRequest(r io.Reader, hdr []byte, c *capsule) error {
 	if n > maxPayload {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
-	if c.opcode == opWriteVec && n > 0 && !t.cfg.LegacyOps {
+	if c.opcode == opWriteVec && n > 0 {
 		return t.readWriteVec(r, c, int(n))
 	}
 	if n > 0 {
@@ -570,7 +551,7 @@ func (t *Target) worker() {
 		qwait := time.Since(it.enq)
 		t.srv.ObserveQueueWait(qwait)
 		it.ts.srv.ObserveQueueWait(qwait)
-		if it.req.opcode == opFlush && !t.cfg.LegacyOps {
+		if it.req.opcode == opFlush {
 			// Durability barriers park off-pool: the barrier's writes may
 			// still be queued behind other tenants, and a worker blocked
 			// here could be the one meant to apply them. The goroutine is
@@ -984,11 +965,6 @@ func (t *Target) execute(req *capsule) completion {
 		t.vecReads.Add(1)
 		t.vecSegs.Add(int64(len(segs)))
 	case opReadSamples:
-		if t.cfg.LegacyOps {
-			// Emulated pre-offload target: the opcode is unknown here.
-			status = statusBadOp
-			break
-		}
 		xform, segs, total, err := decodeSampleList(req.payload)
 		if err != nil {
 			if len(req.payload) >= sampleHdrSize && !TransformValid(req.payload[0]) {
@@ -1024,12 +1000,6 @@ func (t *Target) execute(req *capsule) completion {
 		t.bytes.Add(int64(len(req.payload)))
 		t.writes.Add(1)
 	case opWriteVec:
-		if t.cfg.LegacyOps {
-			// Emulated pre-write-path target: the opcode is unknown here
-			// and the client downgrades to per-extent opWrite.
-			status = statusBadOp
-			break
-		}
 		if req.vecStatus != 0 {
 			// Ingest-time validation failed; the frame was drained and
 			// the deferred status completes here.
@@ -1066,10 +1036,6 @@ func (t *Target) execute(req *capsule) completion {
 		t.bytes.Add(int64(total))
 		t.writes.Add(1)
 	case opFlush:
-		if t.cfg.LegacyOps {
-			status = statusBadOp
-			break
-		}
 		// The barrier wait over the connection's prior writes already
 		// happened (completeFlush); what remains is the media sync.
 		if err := t.store.Sync(); err != nil {

@@ -142,7 +142,7 @@ func TestRaceWriterVsClose(t *testing.T) {
 			buf := bytes.Repeat([]byte{7}, 8192)
 			var pds []*Pending
 			for i := 0; i < 64; i++ {
-				pd, werr := in.WriteAsync(buf, int64(i)*8192)
+				pd, werr := in.Submit(Command{Op: OpWrite, Buf: buf, Off: int64(i) * 8192})
 				if werr != nil {
 					break // closed or depth-limited mid-teardown: fine
 				}

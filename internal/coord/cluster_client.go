@@ -9,6 +9,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"dlfs/internal/wire"
 )
 
 // ClusterClient is one rank's failover-aware connection to a
@@ -27,6 +29,7 @@ type ClusterClient struct {
 	conn   net.Conn
 	leader string // last known leader address
 	closed bool
+	hdr    wire.Header // scratch for the one frame in flight, under mu
 }
 
 // JoinCluster resolves the replica set's leader and registers as rank
@@ -115,22 +118,22 @@ func (c *ClusterClient) tryJoin(addr string) (net.Conn, error) {
 		var worldw [4]byte
 		binary.LittleEndian.PutUint32(worldw[:], uint32(c.world))
 		conn.SetDeadline(time.Now().Add(c.opt.DialTimeout)) //nolint:errcheck
-		if err := writeFrame(conn, &frame{op: opJoin, rank: uint32(c.rank), payload: worldw[:]}); err != nil {
+		if err := proto.Write(conn, &c.hdr, &frame{Op: opJoin, Tag: uint32(c.rank), Payload: worldw[:]}); err != nil {
 			conn.Close() //nolint:errcheck
 			return nil, err
 		}
-		f, err := readFrame(conn)
+		f, err := proto.Read(conn, &c.hdr, nil)
 		if err != nil {
 			conn.Close() //nolint:errcheck
 			return nil, err
 		}
-		switch f.op {
+		switch f.Op {
 		case opJoinOK:
 			conn.SetDeadline(time.Time{}) //nolint:errcheck
 			return conn, nil
 		case opRedirect:
 			conn.Close() //nolint:errcheck
-			hint := string(f.payload)
+			hint := string(f.Payload)
 			if hint == "" || hint == addr {
 				return nil, fmt.Errorf("%w: %s is not the leader", ErrNoLeader, addr)
 			}
@@ -138,10 +141,10 @@ func (c *ClusterClient) tryJoin(addr string) (net.Conn, error) {
 			addr = hint
 		case opAbort:
 			conn.Close() //nolint:errcheck
-			return nil, abortError(f.payload)
+			return nil, abortError(f.Payload)
 		default:
 			conn.Close() //nolint:errcheck
-			return nil, fmt.Errorf("%w: unexpected join reply opcode %d", ErrProtocol, f.op)
+			return nil, fmt.Errorf("%w: unexpected join reply opcode %d", ErrProtocol, f.Op)
 		}
 	}
 	return nil, fmt.Errorf("%w: redirect loop", ErrNoLeader)
@@ -200,32 +203,32 @@ func (c *ClusterClient) collective(op byte, name string, blob []byte) ([][]byte,
 // retry=true means the connection is no longer usable but the
 // collective may still succeed elsewhere.
 func (c *ClusterClient) attempt(op byte, name string, blob []byte, deadline time.Time, noDeadline bool) (blobs [][]byte, retry bool, err error) {
-	if err := writeFrame(c.conn, &frame{op: op, rank: uint32(c.rank), payload: packName(name, blob)}); err != nil {
+	if err := proto.Write(c.conn, &c.hdr, &frame{Op: op, Tag: uint32(c.rank), Payload: packName(name, blob)}); err != nil {
 		return nil, true, nil
 	}
 	if !noDeadline {
 		c.conn.SetReadDeadline(deadline)          //nolint:errcheck
 		defer c.conn.SetReadDeadline(time.Time{}) //nolint:errcheck
 	}
-	f, err := readFrame(c.conn)
+	f, err := proto.Read(c.conn, &c.hdr, nil)
 	if err != nil {
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
 			return nil, false, fmt.Errorf("%w: %q after %v", ErrWaitTimeout, name, c.opt.WaitTimeout)
 		}
 		return nil, true, nil // conn lost; re-resolve and resubmit
 	}
-	switch f.op {
+	switch f.Op {
 	case opAbort:
-		return nil, false, abortError(f.payload)
+		return nil, false, abortError(f.Payload)
 	case opRedirect:
-		if hint := string(f.payload); hint != "" {
+		if hint := string(f.Payload); hint != "" {
 			c.leader = hint
 		} else {
 			c.leader = ""
 		}
 		return nil, true, nil
 	case opRelease:
-		got, _, err := unpackName(f.payload)
+		got, _, err := unpackName(f.Payload)
 		if err != nil {
 			return nil, false, err
 		}
@@ -234,7 +237,7 @@ func (c *ClusterClient) attempt(op byte, name string, blob []byte, deadline time
 		}
 		return nil, false, nil
 	case opBlobs:
-		got, body, err := unpackName(f.payload)
+		got, body, err := unpackName(f.Payload)
 		if err != nil {
 			return nil, false, err
 		}
@@ -244,7 +247,7 @@ func (c *ClusterClient) attempt(op byte, name string, blob []byte, deadline time
 		out, err := unpackRankBlobs(body, c.world)
 		return out, false, err
 	default:
-		return nil, false, fmt.Errorf("%w: unexpected opcode %d", ErrProtocol, f.op)
+		return nil, false, fmt.Errorf("%w: unexpected opcode %d", ErrProtocol, f.Op)
 	}
 }
 
@@ -319,18 +322,19 @@ func FetchStatus(addr string, timeout time.Duration) (ClusterStatus, error) {
 	}
 	defer conn.Close()                        //nolint:errcheck
 	conn.SetDeadline(time.Now().Add(timeout)) //nolint:errcheck
-	if err := writeFrame(conn, &frame{op: opStatus, rank: noRank}); err != nil {
+	var hdr wire.Header
+	if err := proto.Write(conn, &hdr, &frame{Op: opStatus, Tag: noRank}); err != nil {
 		return ClusterStatus{}, err
 	}
-	f, err := readFrame(conn)
+	f, err := proto.Read(conn, &hdr, nil)
 	if err != nil {
 		return ClusterStatus{}, err
 	}
-	if f.op != opStatusOK {
-		return ClusterStatus{}, fmt.Errorf("%w: unexpected status reply opcode %d", ErrProtocol, f.op)
+	if f.Op != opStatusOK {
+		return ClusterStatus{}, fmt.Errorf("%w: unexpected status reply opcode %d", ErrProtocol, f.Op)
 	}
 	var st ClusterStatus
-	if err := gob.NewDecoder(bytes.NewReader(f.payload)).Decode(&st); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(f.Payload)).Decode(&st); err != nil {
 		return ClusterStatus{}, fmt.Errorf("%w: bad status payload: %v", ErrProtocol, err)
 	}
 	return st, nil
@@ -364,11 +368,11 @@ func (c *ClusterClient) Depart(cut uint64) (ClusterStatus, error) {
 			}
 		}
 		c.conn.SetDeadline(time.Now().Add(c.opt.DialTimeout)) //nolint:errcheck
-		werr := writeFrame(c.conn, &frame{op: opDepart, rank: uint32(c.rank), payload: payload[:]})
+		werr := proto.Write(c.conn, &c.hdr, &frame{Op: opDepart, Tag: uint32(c.rank), Payload: payload[:]})
 		var f *frame
 		var rerr error
 		if werr == nil {
-			f, rerr = readFrame(c.conn)
+			f, rerr = proto.Read(c.conn, &c.hdr, nil)
 		}
 		if werr != nil || rerr != nil {
 			c.conn.Close() //nolint:errcheck
@@ -378,21 +382,21 @@ func (c *ClusterClient) Depart(cut uint64) (ClusterStatus, error) {
 			}
 			continue
 		}
-		switch f.op {
+		switch f.Op {
 		case opStatusOK:
 			var st ClusterStatus
-			if err := gob.NewDecoder(bytes.NewReader(f.payload)).Decode(&st); err != nil {
+			if err := gob.NewDecoder(bytes.NewReader(f.Payload)).Decode(&st); err != nil {
 				return ClusterStatus{}, fmt.Errorf("%w: bad depart ack: %v", ErrProtocol, err)
 			}
 			return st, nil
 		case opRedirect:
-			c.leader = string(f.payload)
+			c.leader = string(f.Payload)
 			c.conn.Close() //nolint:errcheck
 			c.conn = nil
 		case opAbort:
-			return ClusterStatus{}, abortError(f.payload)
+			return ClusterStatus{}, abortError(f.Payload)
 		default:
-			return ClusterStatus{}, fmt.Errorf("%w: unexpected depart reply opcode %d", ErrProtocol, f.op)
+			return ClusterStatus{}, fmt.Errorf("%w: unexpected depart reply opcode %d", ErrProtocol, f.Op)
 		}
 		if time.Now().After(deadline) {
 			return ClusterStatus{}, fmt.Errorf("%w: depart", ErrWaitTimeout)
@@ -413,8 +417,8 @@ func (c *ClusterClient) Close() error {
 	if c.conn == nil {
 		return nil
 	}
-	c.conn.SetWriteDeadline(time.Now().Add(time.Second))          //nolint:errcheck
-	writeFrame(c.conn, &frame{op: opLeave, rank: uint32(c.rank)}) //nolint:errcheck
+	c.conn.SetWriteDeadline(time.Now().Add(time.Second))                  //nolint:errcheck
+	proto.Write(c.conn, &c.hdr, &frame{Op: opLeave, Tag: uint32(c.rank)}) //nolint:errcheck
 	err := c.conn.Close()
 	c.conn = nil
 	return err

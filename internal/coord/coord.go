@@ -25,7 +25,8 @@
 // cannot wedge them either, and a rank may start before its
 // coordinator does.
 //
-// Framing (all integers little-endian):
+// Framing is internal/wire's, with the sender's rank as the frame's tag
+// (all integers little-endian):
 //
 //	frame := magic(u32) | opcode(u8) | rank(u32) | length(u32) | payload
 //
@@ -40,8 +41,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"time"
+
+	"dlfs/internal/wire"
 )
 
 // Magic guards against cross-protocol connections ("DLCO").
@@ -115,19 +117,14 @@ var (
 // FrameSizeError reports an oversized frame: which opcode, the claimed
 // payload length, and the cap it broke. It unwraps to both
 // ErrFrameTooLarge and ErrProtocol.
-type FrameSizeError struct {
-	Op    byte
-	Size  uint32
-	Limit uint32
-}
+type FrameSizeError = wire.FrameSizeError
 
-func (e *FrameSizeError) Error() string {
-	return fmt.Sprintf("coord: opcode %d payload %d exceeds limit %d", e.Op, e.Size, e.Limit)
-}
+// proto is DLCO over the shared frame codec; a frame's tag is the
+// sender's rank.
+var proto = wire.Proto{Magic: Magic, Limit: payloadLimit, Malformed: ErrProtocol, TooLarge: ErrFrameTooLarge}
 
-// Unwrap lets both errors.Is(err, ErrFrameTooLarge) and
-// errors.Is(err, ErrProtocol) match.
-func (e *FrameSizeError) Unwrap() []error { return []error{ErrFrameTooLarge, ErrProtocol} }
+// frame is one wire message in either direction.
+type frame = wire.Frame
 
 // PeerLostError reports which rank died and what the survivors were
 // waiting on. It unwraps to ErrPeerLost.
@@ -145,82 +142,6 @@ func (e *PeerLostError) Error() string {
 
 // Unwrap lets errors.Is(err, ErrPeerLost) match.
 func (e *PeerLostError) Unwrap() error { return ErrPeerLost }
-
-// frame is one wire message in either direction.
-type frame struct {
-	op      byte
-	rank    uint32
-	payload []byte
-}
-
-const frameHeaderSize = 4 + 1 + 4 + 4
-
-func writeFrame(w io.Writer, f *frame) error {
-	hdr := make([]byte, frameHeaderSize)
-	binary.LittleEndian.PutUint32(hdr[0:4], Magic)
-	hdr[4] = f.op
-	binary.LittleEndian.PutUint32(hdr[5:9], f.rank)
-	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(f.payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if len(f.payload) > 0 {
-		if _, err := w.Write(f.payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readFrame(r io.Reader) (*frame, error) {
-	hdr := make([]byte, frameHeaderSize)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != Magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrProtocol)
-	}
-	f := &frame{op: hdr[4], rank: binary.LittleEndian.Uint32(hdr[5:9])}
-	n := binary.LittleEndian.Uint32(hdr[9:13])
-	if limit := payloadLimit(f.op); n > limit {
-		return nil, &FrameSizeError{Op: f.op, Size: n, Limit: limit}
-	}
-	if n > 0 {
-		var err error
-		if f.payload, err = readPayload(r, int(n)); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
-}
-
-// readPayload reads exactly n bytes, growing the buffer chunk by chunk
-// so a corrupt (but in-cap) length prefix on a near-empty connection
-// costs at most one chunk of allocation before the short read surfaces —
-// never the full claimed size.
-func readPayload(r io.Reader, n int) ([]byte, error) {
-	const chunk = 1 << 20
-	if n <= chunk {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	buf := make([]byte, 0, chunk)
-	for len(buf) < n {
-		step := n - len(buf)
-		if step > chunk {
-			step = chunk
-		}
-		off := len(buf)
-		buf = append(buf, make([]byte, step)...)
-		if _, err := io.ReadFull(r, buf[off:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
 
 // packName prefixes name with its 16-bit length.
 func packName(name string, rest []byte) []byte {

@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"dlfs/internal/wire"
 )
 
 // fuzzFrame builds a wire frame for the corpus.
 func fuzzFrame(op byte, rank uint32, payload []byte) []byte {
 	var buf bytes.Buffer
-	writeFrame(&buf, &frame{op: op, rank: rank, payload: payload}) //nolint:errcheck
+	proto.Write(&buf, new(wire.Header), &frame{Op: op, Tag: rank, Payload: payload}) //nolint:errcheck
 	return buf.Bytes()
 }
 
-// FuzzCoordFrame drives readFrame with arbitrary bytes: it must never
+// FuzzCoordFrame drives the frame codec (internal/wire, as DLCO) with
+// arbitrary bytes: it must never
 // panic and never allocate anywhere near a corrupt length prefix's
 // claim. The seed corpus covers the interesting shapes — valid control
 // and blob frames, an oversized control frame, a huge claimed gather
@@ -40,13 +43,13 @@ func FuzzCoordFrame(f *testing.F) {
 	f.Add(bad)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := readFrame(bytes.NewReader(data))
+		fr, err := proto.Read(bytes.NewReader(data), new(wire.Header), nil)
 		if err != nil {
 			return
 		}
 		// A frame that parsed must round-trip byte-identically.
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, fr); err != nil {
+		if err := proto.Write(&buf, new(wire.Header), fr); err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
 		if got := buf.Bytes(); !bytes.Equal(got, data[:len(got)]) {

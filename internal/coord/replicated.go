@@ -13,6 +13,7 @@ import (
 
 	"dlfs/internal/consensus"
 	"dlfs/internal/metrics"
+	"dlfs/internal/wire"
 )
 
 // This file is the coordinator: the collective protocol backed by a
@@ -506,7 +507,8 @@ func (s *ReplicatedServer) Close() error {
 // whichever protocol handler wins the peek.
 type bufferedConn struct {
 	net.Conn
-	r *bufio.Reader
+	r   *bufio.Reader
+	hdr *wire.Header // a client connection's frame-header scratch; serveClient's goroutine reads and writes every frame
 }
 
 func (c bufferedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
@@ -528,7 +530,7 @@ func (s *ReplicatedServer) demux(conn net.Conn) {
 		br.Discard(4) //nolint:errcheck
 		s.tr.ServeConn(bufferedConn{Conn: conn, r: br})
 	case Magic:
-		s.serveClient(bufferedConn{Conn: conn, r: br})
+		s.serveClient(bufferedConn{Conn: conn, r: br, hdr: new(wire.Header)})
 	default:
 		conn.Close() //nolint:errcheck
 	}
@@ -540,43 +542,44 @@ func (s *ReplicatedServer) isLeader() bool {
 	return leader == s.self
 }
 
-func (s *ReplicatedServer) sendStatus(conn net.Conn) error {
+// send writes one frame to a client under the write deadline.
+func (s *ReplicatedServer) send(conn bufferedConn, f *frame) error {
+	conn.SetWriteDeadline(time.Now().Add(s.opt.WriteTimeout)) //nolint:errcheck
+	defer conn.SetWriteDeadline(time.Time{})                  //nolint:errcheck
+	return proto.Write(conn, conn.hdr, f)
+}
+
+func (s *ReplicatedServer) sendStatus(conn bufferedConn) error {
 	var buf bytes.Buffer
 	st := s.Status()
 	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
 		return err
 	}
-	conn.SetWriteDeadline(time.Now().Add(s.opt.WriteTimeout)) //nolint:errcheck
-	defer conn.SetWriteDeadline(time.Time{})                  //nolint:errcheck
-	return writeFrame(conn, &frame{op: opStatusOK, payload: buf.Bytes()})
+	return s.send(conn, &frame{Op: opStatusOK, Payload: buf.Bytes()})
 }
 
-func (s *ReplicatedServer) sendRedirect(conn net.Conn) {
+func (s *ReplicatedServer) sendRedirect(conn bufferedConn) {
 	leader, _ := s.node.Leader()
-	conn.SetWriteDeadline(time.Now().Add(s.opt.WriteTimeout))         //nolint:errcheck
-	writeFrame(conn, &frame{op: opRedirect, payload: []byte(leader)}) //nolint:errcheck
-	conn.SetWriteDeadline(time.Time{})                                //nolint:errcheck
+	s.send(conn, &frame{Op: opRedirect, Payload: []byte(leader)}) //nolint:errcheck
 }
 
-func (s *ReplicatedServer) sendAbortFrame(conn net.Conn, rank uint32, reason string) {
-	conn.SetWriteDeadline(time.Now().Add(s.opt.WriteTimeout))                  //nolint:errcheck
-	writeFrame(conn, &frame{op: opAbort, payload: abortPayload(rank, reason)}) //nolint:errcheck
-	conn.SetWriteDeadline(time.Time{})                                         //nolint:errcheck
+func (s *ReplicatedServer) sendAbortFrame(conn bufferedConn, rank uint32, reason string) {
+	s.send(conn, &frame{Op: opAbort, Payload: abortPayload(rank, reason)}) //nolint:errcheck
 }
 
 // serveClient speaks the coordinator client protocol on one connection.
-func (s *ReplicatedServer) serveClient(conn net.Conn) {
+func (s *ReplicatedServer) serveClient(conn bufferedConn) {
 	defer conn.Close() //nolint:errcheck
 	rank := -1         // joined rank, -1 until opJoin succeeds
 	for {
-		f, err := readFrame(conn)
+		f, err := proto.Read(conn, conn.hdr, nil)
 		if err != nil {
 			if rank >= 0 {
 				s.clientGone(rank, conn)
 			}
 			return
 		}
-		switch f.op {
+		switch f.Op {
 		case opStatus:
 			if err := s.sendStatus(conn); err != nil {
 				if rank >= 0 {
@@ -600,11 +603,11 @@ func (s *ReplicatedServer) serveClient(conn net.Conn) {
 				return
 			}
 		case opDepart:
-			if rank < 0 || len(f.payload) != 8 {
+			if rank < 0 || len(f.Payload) != 8 {
 				s.sendAbortFrame(conn, noRank, "bad depart")
 				return
 			}
-			s.handleDepart(conn, rank, binary.LittleEndian.Uint64(f.payload))
+			s.handleDepart(conn, rank, binary.LittleEndian.Uint64(f.Payload))
 			s.forgetClient(rank, conn)
 			return
 		case opLeave:
@@ -613,7 +616,7 @@ func (s *ReplicatedServer) serveClient(conn net.Conn) {
 			}
 			return
 		default:
-			s.sendAbortFrame(conn, noRank, fmt.Sprintf("unexpected opcode %d", f.op))
+			s.sendAbortFrame(conn, noRank, fmt.Sprintf("unexpected opcode %d", f.Op))
 			if rank >= 0 {
 				s.clientGone(rank, conn)
 			}
@@ -624,17 +627,17 @@ func (s *ReplicatedServer) serveClient(conn net.Conn) {
 
 // handleJoin admits a rank on the leader (proposing a membership entry
 // when the rank is new) or redirects to the leader.
-func (s *ReplicatedServer) handleJoin(conn net.Conn, f *frame) (int, bool) {
-	rank := int(f.rank)
+func (s *ReplicatedServer) handleJoin(conn bufferedConn, f *frame) (int, bool) {
+	rank := int(f.Tag)
 	if !s.isLeader() {
 		s.sendRedirect(conn)
 		return -1, false
 	}
-	if len(f.payload) != 4 {
+	if len(f.Payload) != 4 {
 		s.sendAbortFrame(conn, noRank, "bad join")
 		return -1, false
 	}
-	if world := int(binary.LittleEndian.Uint32(f.payload)); world != s.world {
+	if world := int(binary.LittleEndian.Uint32(f.Payload)); world != s.world {
 		s.sendAbortFrame(conn, noRank, fmt.Sprintf("world mismatch: rank %d joined with world %d, coordinator has %d", rank, world, s.world))
 		return -1, false
 	}
@@ -672,10 +675,7 @@ func (s *ReplicatedServer) handleJoin(conn net.Conn, f *frame) (int, bool) {
 		delete(s.grace, rank)
 	}
 	s.mu.Unlock()
-	conn.SetWriteDeadline(time.Now().Add(s.opt.WriteTimeout)) //nolint:errcheck
-	err := writeFrame(conn, &frame{op: opJoinOK, rank: uint32(rank)})
-	conn.SetWriteDeadline(time.Time{}) //nolint:errcheck
-	if err != nil {
+	if err := s.send(conn, &frame{Op: opJoinOK, Tag: uint32(rank)}); err != nil {
 		s.clientGone(rank, conn)
 		return -1, false
 	}
@@ -729,12 +729,12 @@ func (s *ReplicatedServer) isClosed() bool {
 // runCollective proposes a barrier arrival or gather contribution and
 // waits for the replicated FSM to complete (or poison) it. The return
 // value reports whether the connection is still usable.
-func (s *ReplicatedServer) runCollective(conn net.Conn, rank int, f *frame) bool {
+func (s *ReplicatedServer) runCollective(conn bufferedConn, rank int, f *frame) bool {
 	var cmd raftCmd
 	var name string
-	switch f.op {
+	switch f.Op {
 	case opBarrier:
-		n, _, err := unpackName(f.payload)
+		n, _, err := unpackName(f.Payload)
 		if err != nil {
 			s.sendAbortFrame(conn, noRank, err.Error())
 			return false
@@ -742,7 +742,7 @@ func (s *ReplicatedServer) runCollective(conn net.Conn, rank int, f *frame) bool
 		name = n
 		cmd = raftCmd{Kind: cmdBarrier, Name: n, Rank: rank}
 	case opGather:
-		n, blob, err := unpackName(f.payload)
+		n, blob, err := unpackName(f.Payload)
 		if err != nil {
 			s.sendAbortFrame(conn, noRank, err.Error())
 			return false
@@ -752,7 +752,7 @@ func (s *ReplicatedServer) runCollective(conn net.Conn, rank int, f *frame) bool
 	}
 	// Skip the proposal when the collective already completed (this is a
 	// resubmission after a failover) or the job is poisoned.
-	done, failed := s.collectiveState(name, f.op)
+	done, failed := s.collectiveState(name, f.Op)
 	if !done && !failed.Lost {
 		if _, _, err := s.node.Propose(encodeCmd(cmd)); err != nil {
 			s.sendRedirect(conn)
@@ -761,13 +761,13 @@ func (s *ReplicatedServer) runCollective(conn net.Conn, rank int, f *frame) bool
 	}
 	for {
 		ch := s.fsm.waitCh()
-		done, failed = s.collectiveState(name, f.op)
+		done, failed = s.collectiveState(name, f.Op)
 		if failed.Lost {
 			s.sendAbortFrame(conn, uint32(failed.Rank), failed.Reason)
 			return true
 		}
 		if done {
-			return s.replyCollective(conn, name, f.op)
+			return s.replyCollective(conn, name, f.Op)
 		}
 		if s.isClosed() {
 			return false
@@ -796,10 +796,10 @@ func (s *ReplicatedServer) collectiveState(name string, op byte) (bool, lostStat
 }
 
 // replyCollective sends the stored completion for name.
-func (s *ReplicatedServer) replyCollective(conn net.Conn, name string, op byte) bool {
+func (s *ReplicatedServer) replyCollective(conn bufferedConn, name string, op byte) bool {
 	var out *frame
 	if op == opBarrier {
-		out = &frame{op: opRelease, payload: packName(name, nil)}
+		out = &frame{Op: opRelease, Payload: packName(name, nil)}
 	} else {
 		s.fsm.mu.Lock()
 		blobs := s.fsm.st.DoneGathers[name]
@@ -820,18 +820,15 @@ func (s *ReplicatedServer) replyCollective(conn net.Conn, name string, op byte) 
 			body = append(body, w[:]...)
 			body = append(body, rb.Blob...)
 		}
-		out = &frame{op: opBlobs, payload: packName(name, body)}
+		out = &frame{Op: opBlobs, Payload: packName(name, body)}
 	}
-	conn.SetWriteDeadline(time.Now().Add(s.opt.WriteTimeout)) //nolint:errcheck
-	err := writeFrame(conn, out)
-	conn.SetWriteDeadline(time.Time{}) //nolint:errcheck
-	return err == nil
+	return s.send(conn, out) == nil
 }
 
 // handleDepart replicates an orderly mid-training departure: the rank
 // leaves the membership view, the epoch bumps, and survivors reshard
 // from the declared cut.
-func (s *ReplicatedServer) handleDepart(conn net.Conn, rank int, cut uint64) {
+func (s *ReplicatedServer) handleDepart(conn bufferedConn, rank int, cut uint64) {
 	if !s.isLeader() {
 		s.sendRedirect(conn)
 		return

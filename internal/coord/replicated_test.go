@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dlfs/internal/wire"
 )
 
 // startSet stands up a replica set with fast, test-friendly timings.
@@ -213,10 +215,10 @@ func TestReplicatedRankDeathDuringBarrierPoisons(t *testing.T) {
 	}
 	var worldw [4]byte
 	binary.LittleEndian.PutUint32(worldw[:], 3)
-	if err := writeFrame(conn, &frame{op: opJoin, rank: 2, payload: worldw[:]}); err != nil {
+	if err := proto.Write(conn, new(wire.Header), &frame{Op: opJoin, Tag: 2, Payload: worldw[:]}); err != nil {
 		t.Fatal(err)
 	}
-	if f, err := readFrame(conn); err != nil || f.op != opJoinOK {
+	if f, err := proto.Read(conn, new(wire.Header), nil); err != nil || f.Op != opJoinOK {
 		t.Fatalf("raw join: op=%v err=%v", f, err)
 	}
 
@@ -283,14 +285,14 @@ func TestFrameSizeLimits(t *testing.T) {
 	// A control frame claiming a huge payload must fail with the typed
 	// error before any large allocation.
 	mk := func(op byte, n uint32) []byte {
-		hdr := make([]byte, frameHeaderSize)
+		hdr := make([]byte, wire.HeaderSize)
 		binary.LittleEndian.PutUint32(hdr[0:4], Magic)
 		hdr[4] = op
 		binary.LittleEndian.PutUint32(hdr[5:9], 0)
 		binary.LittleEndian.PutUint32(hdr[9:13], n)
 		return hdr
 	}
-	_, err := readFrame(bytes.NewReader(mk(opBarrier, maxControlPayload+1)))
+	_, err := proto.Read(bytes.NewReader(mk(opBarrier, maxControlPayload+1)), new(wire.Header), nil)
 	var fse *FrameSizeError
 	if !errors.As(err, &fse) {
 		t.Fatalf("got %v, want *FrameSizeError", err)
@@ -304,14 +306,14 @@ func TestFrameSizeLimits(t *testing.T) {
 
 	// Gather frames get the big cap: the same length is fine there (the
 	// read then fails on the missing payload, not the cap).
-	_, err = readFrame(bytes.NewReader(mk(opGather, maxControlPayload+1)))
+	_, err = proto.Read(bytes.NewReader(mk(opGather, maxControlPayload+1)), new(wire.Header), nil)
 	if errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("gather frame rejected by control cap: %v", err)
 	}
 
 	// A corrupt in-cap length on a truncated stream must not allocate
 	// the claimed size before failing (chunked read surfaces EOF first).
-	_, err = readFrame(bytes.NewReader(mk(opGather, maxPayload)))
+	_, err = proto.Read(bytes.NewReader(mk(opGather, maxPayload)), new(wire.Header), nil)
 	if err == nil || errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("truncated gather read err = %v", err)
 	}

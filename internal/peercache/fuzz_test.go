@@ -5,17 +5,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"testing"
+
+	"dlfs/internal/wire"
 )
 
 // fuzzFrame builds a wire frame for the corpus.
 func fuzzFrame(op byte, seq uint32, payload []byte) []byte {
 	var buf bytes.Buffer
-	writeFrame(&buf, new(frameHeader), &frame{op: op, seq: seq, payload: payload}) //nolint:errcheck
+	proto.Write(&buf, new(wire.Header), &wire.Frame{Op: op, Tag: seq, Payload: payload}) //nolint:errcheck
 	return buf.Bytes()
 }
 
-// FuzzPeerFrame drives readFrame with arbitrary bytes (the coord
-// FuzzCoordFrame pattern applied to the DLPC protocol): it must never
+// FuzzPeerFrame drives the frame codec (internal/wire, as DLPC) with
+// arbitrary bytes, as coord's FuzzCoordFrame does as DLCO: it must never
 // panic, reject oversized claims typed before allocating them, and
 // round-trip every frame that parses. The seed corpus covers the
 // interesting shapes — a valid get, a data answer, a miss, a corrupt
@@ -46,7 +48,7 @@ func FuzzPeerFrame(f *testing.F) {
 	f.Add(bad)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := readFrame(bytes.NewReader(data), new(frameHeader), nil)
+		fr, err := proto.Read(bytes.NewReader(data), new(wire.Header), nil)
 		if err != nil {
 			// Errors must be the typed protocol/size classes or plain
 			// short-read transport errors — never a panic, and an
@@ -62,12 +64,12 @@ func FuzzPeerFrame(f *testing.F) {
 			}
 			return
 		}
-		if uint32(len(fr.payload)) > payloadLimit(fr.op) {
-			t.Fatalf("parsed frame exceeds its opcode cap: op=%d len=%d", fr.op, len(fr.payload))
+		if uint32(len(fr.Payload)) > payloadLimit(fr.Op) {
+			t.Fatalf("parsed frame exceeds its opcode cap: op=%d len=%d", fr.Op, len(fr.Payload))
 		}
 		// A frame that parsed must round-trip byte-identically.
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, new(frameHeader), fr); err != nil {
+		if err := proto.Write(&buf, new(wire.Header), fr); err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
 		if got := buf.Bytes(); !bytes.Equal(got, data[:len(got)]) {

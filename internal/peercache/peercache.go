@@ -14,7 +14,8 @@
 // matching ErrUnavailable (transport) or ErrMiss (peer answered but
 // declined), so callers can count fallbacks precisely.
 //
-// Framing (all integers little-endian):
+// Framing is internal/wire's, with the request sequence number as the
+// frame's tag:
 //
 //	frame := magic(u32 "DLPC") | op(u8) | seq(u32) | length(u32) | payload
 //
@@ -30,11 +31,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dlfs/internal/wire"
 )
 
 // Magic guards against cross-protocol connections ("DLPC").
@@ -88,19 +90,11 @@ var (
 // FrameSizeError reports an oversized frame: which opcode, the claimed
 // payload length, and the cap it broke. It unwraps to both
 // ErrFrameTooLarge and ErrProtocol.
-type FrameSizeError struct {
-	Op    byte
-	Size  uint32
-	Limit uint32
-}
+type FrameSizeError = wire.FrameSizeError
 
-func (e *FrameSizeError) Error() string {
-	return fmt.Sprintf("peercache: opcode %d payload %d exceeds limit %d", e.Op, e.Size, e.Limit)
-}
-
-// Unwrap lets both errors.Is(err, ErrFrameTooLarge) and
-// errors.Is(err, ErrProtocol) match.
-func (e *FrameSizeError) Unwrap() []error { return []error{ErrFrameTooLarge, ErrProtocol} }
+// proto is DLPC over the shared frame codec; a frame's tag is the
+// request sequence number.
+var proto = wire.Proto{Magic: Magic, Limit: payloadLimit, Malformed: ErrProtocol, TooLarge: ErrFrameTooLarge}
 
 // PeerError reports a failed fetch against one peer. It unwraps to
 // ErrUnavailable or ErrMiss depending on the failure class, so the
@@ -125,101 +119,6 @@ func (e *PeerError) Unwrap() []error {
 		return []error{e.Kind, e.Err}
 	}
 	return []error{e.Kind}
-}
-
-// frame is one wire message in either direction.
-type frame struct {
-	op      byte
-	seq     uint32
-	payload []byte
-}
-
-const frameHeaderSize = 4 + 1 + 4 + 4
-
-// frameHeader is header scratch. A connection reads and writes serially,
-// so each end keeps one per connection and lends it to both directions: a
-// header local to writeFrame or readFrame would escape through the
-// io.Writer or io.Reader once per frame.
-type frameHeader [frameHeaderSize]byte
-
-// writeFrame emits one frame.
-func writeFrame(w io.Writer, hdr *frameHeader, f *frame) error {
-	binary.LittleEndian.PutUint32(hdr[0:4], Magic)
-	hdr[4] = f.op
-	binary.LittleEndian.PutUint32(hdr[5:9], f.seq)
-	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(f.payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(f.payload) > 0 {
-		if _, err := w.Write(f.payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readFrame parses one frame. alloc, when non-nil, supplies the payload
-// buffer (the client passes its buffer pool so sample payloads land in
-// pooled memory); nil allocates. A corrupt length prefix on a
-// near-empty connection costs at most one chunk of allocation before
-// the short read surfaces.
-func readFrame(r io.Reader, hdr *frameHeader, alloc func(int) []byte) (*frame, error) {
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != Magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrProtocol)
-	}
-	f := &frame{op: hdr[4], seq: binary.LittleEndian.Uint32(hdr[5:9])}
-	n := binary.LittleEndian.Uint32(hdr[9:13])
-	if limit := payloadLimit(f.op); n > limit {
-		return nil, &FrameSizeError{Op: f.op, Size: n, Limit: limit}
-	}
-	if n > 0 {
-		buf, err := readPayload(r, int(n), alloc)
-		if err != nil {
-			return nil, err
-		}
-		f.payload = buf
-	}
-	return f, nil
-}
-
-// readPayload reads exactly n bytes. Large claims are read chunk by
-// chunk into plain memory first when no allocator is supplied, so a
-// bogus in-cap length prefix cannot force the full claimed allocation
-// before the short read surfaces; with an allocator (the trusted client
-// data path) the buffer comes from the pool up front.
-func readPayload(r io.Reader, n int, alloc func(int) []byte) ([]byte, error) {
-	if alloc != nil {
-		buf := alloc(n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	const chunk = 1 << 20
-	if n <= chunk {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	buf := make([]byte, 0, chunk)
-	for len(buf) < n {
-		step := n - len(buf)
-		if step > chunk {
-			step = chunk
-		}
-		off := len(buf)
-		buf = append(buf, make([]byte, step)...)
-		if _, err := io.ReadFull(r, buf[off:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
 }
 
 // Handler serves one sample by dataset index. The returned buffer is
@@ -353,26 +252,26 @@ func (s *Server) serveConn(c net.Conn) {
 		delete(s.conns, c)
 		s.mu.Unlock()
 	}()
-	var hdr frameHeader
+	var hdr wire.Header
 	for {
-		f, err := readFrame(c, &hdr, nil)
+		f, err := proto.Read(c, &hdr, nil)
 		if err != nil {
 			return
 		}
-		if f.op != opGet || len(f.payload) != getPayloadSize {
-			s.answer(c, &hdr, &frame{op: opErr, seq: f.seq, payload: []byte("expected get")}) //nolint:errcheck
+		if f.Op != opGet || len(f.Payload) != getPayloadSize {
+			s.answer(c, &hdr, &wire.Frame{Op: opErr, Tag: f.Tag, Payload: []byte("expected get")}) //nolint:errcheck
 			return
 		}
-		idx := int(int64(binary.LittleEndian.Uint64(f.payload)))
+		idx := int(int64(binary.LittleEndian.Uint64(f.Payload)))
 		buf, herr := s.handler(idx)
 		if herr != nil || buf == nil {
 			s.missed.Add(1)
-			if s.answer(c, &hdr, &frame{op: opMiss, seq: f.seq}) != nil {
+			if s.answer(c, &hdr, &wire.Frame{Op: opMiss, Tag: f.Tag}) != nil {
 				return
 			}
 			continue
 		}
-		werr := s.answer(c, &hdr, &frame{op: opData, seq: f.seq, payload: buf})
+		werr := s.answer(c, &hdr, &wire.Frame{Op: opData, Tag: f.Tag, Payload: buf})
 		if s.opt.Release != nil {
 			s.opt.Release(buf)
 		}
@@ -384,11 +283,11 @@ func (s *Server) serveConn(c net.Conn) {
 }
 
 // answer writes one response under the request deadline.
-func (s *Server) answer(c net.Conn, hdr *frameHeader, f *frame) error {
+func (s *Server) answer(c net.Conn, hdr *wire.Header, f *wire.Frame) error {
 	if s.opt.RequestTimeout > 0 {
 		c.SetWriteDeadline(time.Now().Add(s.opt.RequestTimeout)) //nolint:errcheck
 	}
-	return writeFrame(c, hdr, f)
+	return proto.Write(c, hdr, f)
 }
 
 // Client fetches samples from one peer's server. It dials lazily,
@@ -403,7 +302,7 @@ type Client struct {
 	conn   net.Conn
 	seq    uint32
 	closed bool
-	hdr    frameHeader // scratch for the one frame in flight, under mu
+	hdr    wire.Header // scratch for the one frame in flight, under mu
 }
 
 // NewClient returns a client for the peer service at addr.
@@ -438,25 +337,25 @@ func (c *Client) Fetch(idx int, alloc func(int) []byte) ([]byte, error) {
 	seq := c.seq
 	var req [getPayloadSize]byte
 	binary.LittleEndian.PutUint64(req[:], uint64(idx))
-	if err := writeFrame(c.conn, &c.hdr, &frame{op: opGet, seq: seq, payload: req[:]}); err != nil {
+	if err := proto.Write(c.conn, &c.hdr, &wire.Frame{Op: opGet, Tag: seq, Payload: req[:]}); err != nil {
 		return nil, c.fail(err)
 	}
-	f, err := readFrame(c.conn, &c.hdr, alloc)
+	f, err := proto.Read(c.conn, &c.hdr, alloc)
 	if err != nil {
 		return nil, c.fail(err)
 	}
-	if f.seq != seq {
-		return nil, c.fail(fmt.Errorf("%w: response seq %d for request %d", ErrProtocol, f.seq, seq))
+	if f.Tag != seq {
+		return nil, c.fail(fmt.Errorf("%w: response seq %d for request %d", ErrProtocol, f.Tag, seq))
 	}
-	switch f.op {
+	switch f.Op {
 	case opData:
-		return f.payload, nil
+		return f.Payload, nil
 	case opMiss:
 		return nil, &PeerError{Addr: c.addr, Kind: ErrMiss}
 	case opErr:
-		return nil, c.fail(fmt.Errorf("%w: peer error: %s", ErrProtocol, f.payload))
+		return nil, c.fail(fmt.Errorf("%w: peer error: %s", ErrProtocol, f.Payload))
 	default:
-		return nil, c.fail(fmt.Errorf("%w: unexpected opcode %d", ErrProtocol, f.op))
+		return nil, c.fail(fmt.Errorf("%w: unexpected opcode %d", ErrProtocol, f.Op))
 	}
 }
 

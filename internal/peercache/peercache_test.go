@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dlfs/internal/wire"
 )
 
 // echoHandler serves a deterministic payload derived from the index, or
@@ -165,12 +167,12 @@ func TestReleaseRecyclesServedBuffers(t *testing.T) {
 // typed, before any allocation of the claimed size.
 func TestFrameSizeError(t *testing.T) {
 	var raw bytes.Buffer
-	hdr := make([]byte, frameHeaderSize)
+	hdr := make([]byte, wire.HeaderSize)
 	binary.LittleEndian.PutUint32(hdr[0:4], Magic)
 	hdr[4] = opGet
 	binary.LittleEndian.PutUint32(hdr[9:13], maxControlPayload+1)
 	raw.Write(hdr)
-	_, err := readFrame(&raw, new(frameHeader), nil)
+	_, err := proto.Read(&raw, new(wire.Header), nil)
 	if !errors.Is(err, ErrFrameTooLarge) || !errors.Is(err, ErrProtocol) {
 		t.Fatalf("want ErrFrameTooLarge and ErrProtocol, got %v", err)
 	}
@@ -184,7 +186,7 @@ func TestFrameSizeError(t *testing.T) {
 // frame without panicking.
 func TestBadMagicRejected(t *testing.T) {
 	raw := bytes.NewReader(append([]byte("GET / HTTP/1.1\r\n"), make([]byte, 32)...))
-	if _, err := readFrame(raw, new(frameHeader), nil); !errors.Is(err, ErrProtocol) {
+	if _, err := proto.Read(raw, new(wire.Header), nil); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("want ErrProtocol, got %v", err)
 	}
 }
@@ -199,17 +201,17 @@ func TestServerRejectsMalformedGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck
-	if err := writeFrame(conn, new(frameHeader), &frame{op: opGet, seq: 1, payload: []byte{1, 2, 3}}); err != nil {
+	if err := proto.Write(conn, new(wire.Header), &wire.Frame{Op: opGet, Tag: 1, Payload: []byte{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := readFrame(conn, new(frameHeader), nil)
+	f, err := proto.Read(conn, new(wire.Header), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.op != opErr {
-		t.Fatalf("want opErr answer, got opcode %d", f.op)
+	if f.Op != opErr {
+		t.Fatalf("want opErr answer, got opcode %d", f.Op)
 	}
-	if _, err := readFrame(conn, new(frameHeader), nil); err != io.EOF {
+	if _, err := proto.Read(conn, new(wire.Header), nil); err != io.EOF {
 		t.Fatalf("connection should be dropped after protocol abuse, got %v", err)
 	}
 }

@@ -2,7 +2,7 @@ GO ?= go
 BENCH ?= .
 BENCHCOUNT ?= 5
 
-.PHONY: all fmt fmt-check vet staticcheck build test bench-check race chaos chaos-failover bench bench-target bench-tenants bench-smoke fuzz-smoke check clean
+.PHONY: all fmt fmt-check vet staticcheck build test loc bench-check race chaos chaos-failover bench bench-target bench-tenants bench-smoke fuzz-smoke check clean
 
 all: check
 
@@ -36,6 +36,13 @@ build:
 # give the suite generous headroom.
 test:
 	$(GO) test -timeout 20m ./...
+
+# Non-test Go lines per package: the count the ROADMAP's line gates are
+# stated in (CHANGES.md records it before and after every deletion PR).
+LOCDIRS ?= internal/live internal/nvmetcp internal/coord internal/peercache cmd
+loc:
+	@for d in $(LOCDIRS); do \
+		printf '%-20s %s\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); done
 
 # bench/ is a module of its own (it must build from a bare checkout), so
 # `go test ./...` at the root never compiles it. This is what notices a

@@ -163,10 +163,10 @@ var (
 //
 // gate says the circuit breaker guards this traffic (reads; the write
 // path never fed it): it must Allow the exchange and hears Success or
-// Failure. A command turned away as an unknown
-// opcode is neither: the target answered, so it is healthy, and what was
-// learned is its build. The opcode is latched and the caller gets
-// errLegacy, as does whoever sends that kind again.
+// Failure. A command turned away as an unknown opcode is no failure: the
+// target answered, so it is healthy, and what was learned is its build.
+// The opcode is latched and the caller gets errLegacy, as does whoever
+// sends that kind again.
 func (tg *target) send(gate bool, check func() error, posted *time.Time, cmds ...nvmetcp.Command) error {
 	if l := tg.latch(cmds[0].Op); l != nil && l.Load() {
 		return errLegacy
@@ -202,13 +202,8 @@ func (tg *target) send(gate bool, check func() error, posted *time.Time, cmds ..
 		err = check()
 	}
 	if err != nil {
-		var unsup *nvmetcp.UnsupportedOpError // on the heap once errors.As has it: not on the way of a success
-		if errors.As(err, &unsup) {
-			err = errLegacy
-			if tg.latch(unsup.Opcode).CompareAndSwap(false, true) {
-				err = errLatched
-			}
-		} else {
+		var unsup *nvmetcp.UnsupportedOpError // errors.As moves it to the heap: declared off the success path
+		if !errors.As(err, &unsup) {
 			// Tenant throttles are exempt: a quota rejection is backpressure
 			// from a healthy target, like a latch a fact about policy rather
 			// than health, so it must never accumulate toward opening the
@@ -217,6 +212,10 @@ func (tg *target) send(gate bool, check func() error, posted *time.Time, cmds ..
 				tg.brk.Failure()
 			}
 			return err
+		}
+		err = errLegacy
+		if tg.latch(unsup.Opcode).CompareAndSwap(false, true) {
+			err = errLatched
 		}
 	}
 	if gate {

@@ -224,6 +224,11 @@ func (p *Pipeline) Snapshot() PipelineSnapshot {
 
 // PipelineSnapshot is a plain-value copy of Pipeline counters. Stages is
 // non-nil only when stage histograms were enabled.
+//
+// The frozen benchmark (bench/stats.go, addInts) walks this struct by
+// reflection and calls SetInt on every int64 field, recursing into
+// struct-valued fields: an unexported int64, or a nested struct holding
+// one, added here panics every workload. Keep every int64 exported.
 type PipelineSnapshot struct {
 	Stages            *PipelineHistSnapshot
 	PrepNanos         int64

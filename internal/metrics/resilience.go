@@ -37,6 +37,9 @@ func (r *Resilience) Snapshot() ResilienceSnapshot {
 }
 
 // ResilienceSnapshot is a plain-value copy of Resilience counters.
+//
+// bench/stats.go sums it by reflection (see PipelineSnapshot): every
+// int64 field, nested ones included, must stay exported.
 type ResilienceSnapshot struct {
 	Retries         int64
 	Reconnects      int64

@@ -165,6 +165,9 @@ func (s *Server) Snapshot() ServerSnapshot {
 
 // ServerSnapshot is a plain-value copy of Server counters. Stages is
 // non-nil only when stage histograms were enabled.
+//
+// bench/stats.go sums it by reflection (see PipelineSnapshot): every
+// int64 field, nested ones included, must stay exported.
 type ServerSnapshot struct {
 	Stages         *ServerHistSnapshot
 	QueueWaitNanos int64

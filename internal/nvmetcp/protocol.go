@@ -151,9 +151,12 @@ func writeCapsuleHdr(w io.Writer, c *capsule, hdr []byte) error {
 		// One writev covering header, descriptor block and every data
 		// segment: the payload goes from the caller's buffers to the
 		// socket without a staging copy. WriteTo consumes the slice: a
-		// capsule is gathered for one send.
-		c.gather[0] = hdr
-		_, err := c.gather.WriteTo(w)
+		// capsule is gathered for one send. (It also leaks its receiver,
+		// which therefore is a copy of the slice header and not c's own:
+		// c is on the submitter's stack.)
+		bufs := c.gather
+		bufs[0] = hdr
+		_, err := bufs.WriteTo(w)
 		return err
 	}
 	encodeHdr(hdr, c.cmdID, c.opcode, c.status, c.offset, len(c.payload))

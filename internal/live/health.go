@@ -178,7 +178,7 @@ func (tg *target) send(gate bool, check func() error, posted *time.Time, cmds ..
 	if len(cmds) == 1 && posted == nil {
 		_, err = tg.qp.Do(cmds[0])
 	} else {
-		var few [writeWindow]*nvmetcp.RePending
+		var few [4]*nvmetcp.RePending // a fetch's or a batch's handles without a heap slice
 		pds := few[:0]
 		for _, c := range cmds {
 			var pd *nvmetcp.RePending

@@ -126,9 +126,9 @@ func (bw *bulkWriter) worker() {
 // breaker never hears of it.
 func (bw *bulkWriter) send(segs []nvmetcp.WSeg) error {
 	tg := bw.tg
-	cmds := []nvmetcp.Command{{Op: nvmetcp.OpWriteVec, WSegs: segs}}
 	for {
 		start := time.Now()
+		cmds := []nvmetcp.Command{{Op: nvmetcp.OpWriteVec, WSegs: segs}}
 		if len(segs) == 1 || tg.noVec.Load() {
 			cmds = make([]nvmetcp.Command, len(segs))
 			for i, s := range segs {
@@ -138,7 +138,7 @@ func (bw *bulkWriter) send(segs []nvmetcp.WSeg) error {
 		err := tg.send(false, nil, nil, cmds...)
 		var te *nvmetcp.ThrottledError
 		switch {
-		case err == nil && len(cmds) == 1:
+		case err == nil && cmds[0].Op == nvmetcp.OpWriteVec:
 			bw.observe(segs, start)
 			return nil
 		case err == nil:

@@ -2,7 +2,7 @@ GO ?= go
 BENCH ?= .
 BENCHCOUNT ?= 5
 
-.PHONY: all fmt fmt-check vet staticcheck build test loc bench-check race chaos chaos-failover bench bench-target bench-tenants bench-smoke fuzz-smoke check clean
+.PHONY: all fmt fmt-check vet staticcheck build test loc bench-check pairs race chaos chaos-failover bench bench-target bench-tenants bench-smoke fuzz-smoke check clean
 
 all: check
 
@@ -49,6 +49,16 @@ loc:
 # refactor that breaks the benchmark.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Paired runs of one benchmark workload, REF's committed files against
+# this tree, judged by the rule a claimed gain must meet:
+#   make pairs W=imagenet-assembly REF=HEAD~1 N=10 SECONDS=10
+W ?= imagenet-assembly
+REF ?= HEAD~1
+N ?= 10
+SECONDS ?= 10
+pairs:
+	bash scripts/pairs.sh $(W) $(REF) $(N) $(SECONDS)
 
 # Every package but the figure sweeps (pure simulation, one goroutine,
 # ~10x slower under the detector than the rest together). The timeout

@@ -704,12 +704,18 @@ func (fs *FS) dispatch(units []unit, work chan<- *fetchGroup, stop <-chan struct
 		maxChunks = 1
 	}
 	taken := make([]bool, len(units))
+	// A group is complete before the next begins and every unit lands in
+	// exactly one, so the groups and their unit lists are cut from two
+	// slabs that never grow.
+	groups := make([]fetchGroup, 0, len(units))
+	members := make([]*unit, 0, len(units))
 	for i := range units {
 		if taken[i] {
 			continue
 		}
 		taken[i] = true
-		g := &fetchGroup{units: []*unit{&units[i]}}
+		first := len(members)
+		members = append(members, &units[i])
 		bytes := int64(units[i].length)
 		chunks := units[i].chunkCount(cs)
 		for j := i + 1; j < len(units) && j <= i+2*fs.cfg.Window; j++ {
@@ -722,10 +728,12 @@ func (fs *FS) dispatch(units []unit, work chan<- *fetchGroup, stop <-chan struct
 				continue
 			}
 			taken[j] = true
-			g.units = append(g.units, &units[j])
+			members = append(members, &units[j])
 			bytes += cb
 			chunks += cc
 		}
+		groups = append(groups, fetchGroup{units: members[first:len(members):len(members)]})
+		g := &groups[len(groups)-1]
 		if len(g.units) > 1 {
 			fs.pipe.CoalescedUnits.Add(int64(len(g.units) - 1))
 		}

@@ -30,6 +30,12 @@ type Server struct {
 	AssembledBytes   atomic.Int64 // post-transform record bytes flushed
 	TransformNanos   atomic.Int64 // time inside the per-sample transform stage
 
+	// The target's crc32c memo: a hit is a record whose trailer was
+	// computed since the store was last written and is sent again, a
+	// miss one checksummed where it lies.
+	ChecksumMemoHits   atomic.Int64
+	ChecksumMemoMisses atomic.Int64
+
 	// Write path (opWrite / opWriteVec / opFlush): checkpoint ingest.
 	WriteBytes     atomic.Int64 // payload bytes landed in the store
 	VecWriteCmds   atomic.Int64 // gathered-write commands served
@@ -154,6 +160,9 @@ func (s *Server) Snapshot() ServerSnapshot {
 		AssembledBytes:   s.AssembledBytes.Load(),
 		TransformNanos:   s.TransformNanos.Load(),
 
+		ChecksumMemoHits:   s.ChecksumMemoHits.Load(),
+		ChecksumMemoMisses: s.ChecksumMemoMisses.Load(),
+
 		WriteBytes:     s.WriteBytes.Load(),
 		VecWriteCmds:   s.VecWriteCmds.Load(),
 		VecWriteSegs:   s.VecWriteSegs.Load(),
@@ -184,6 +193,9 @@ type ServerSnapshot struct {
 	AssembledBytes   int64
 	TransformNanos   int64
 
+	ChecksumMemoHits   int64
+	ChecksumMemoMisses int64
+
 	WriteBytes     int64
 	VecWriteCmds   int64
 	VecWriteSegs   int64
@@ -199,6 +211,15 @@ func (s ServerSnapshot) FlushBatch() float64 {
 		return 0
 	}
 	return float64(s.FlushedCmds) / float64(s.Flushes)
+}
+
+// ChecksumMemoHitShare reports the fraction of crc32c-assembled records
+// whose trailer came from the target's memo.
+func (s ServerSnapshot) ChecksumMemoHitShare() float64 {
+	if s.ChecksumMemoHits+s.ChecksumMemoMisses == 0 {
+		return 0
+	}
+	return float64(s.ChecksumMemoHits) / float64(s.ChecksumMemoHits+s.ChecksumMemoMisses)
 }
 
 // ZeroCopyShare reports the fraction of read payload bytes that went out
@@ -221,6 +242,10 @@ func (s ServerSnapshot) String() string {
 	if s.SampleCmds > 0 {
 		line += fmt.Sprintf(" assembly cmds=%d samples=%d bytes=%s xform=%v",
 			s.SampleCmds, s.AssembledSamples, HumanBytes(s.AssembledBytes), time.Duration(s.TransformNanos))
+		if s.ChecksumMemoHits+s.ChecksumMemoMisses > 0 {
+			line += fmt.Sprintf(" crc-memo hits=%d misses=%d (%.0f%% hits)",
+				s.ChecksumMemoHits, s.ChecksumMemoMisses, 100*s.ChecksumMemoHitShare())
+		}
 	}
 	if s.WriteBytes > 0 || s.FlushCmds > 0 {
 		line += fmt.Sprintf(" write=%s vec-cmds=%d vec-segs=%d adopted=%d syncs=%d sync-wait=%v",

@@ -130,6 +130,8 @@ type Target struct {
 	workerWG sync.WaitGroup
 	sched    *drrSched
 
+	crcMemo crcMemo // trailers assembleViews computed, valid for one write epoch
+
 	srv metrics.Server
 
 	served    atomic.Int64
@@ -786,18 +788,33 @@ func (t *Target) assembleViews(comp *completion, xform byte, segs []vecSeg, tota
 			bufpool.Shared.Put(aux)
 			return false
 		}
+		// The records are write-once: a trailer computed under this same
+		// even epoch is a trailer of these same bytes, so only a record
+		// the memo does not hold for this epoch is checksummed where it
+		// lies.
 		start := time.Now()
-		vi := 1
+		hits, vi := 0, 1
 		for _, s := range segs {
-			var crc uint32
+			rec := vi
 			for rem := int(s.n); rem > 0; vi++ {
-				crc = crc32.Update(crc, crc32cTable, view[vi])
 				rem -= len(view[vi])
+			}
+			slot := t.crcMemo.slot(s)
+			crc, hit := slot.lookup(s, epoch)
+			if hit {
+				hits++
+			} else {
+				for _, v := range view[rec:vi] {
+					crc = crc32.Update(crc, crc32cTable, v)
+				}
+				slot.store(s, epoch, crc)
 			}
 			binary.LittleEndian.PutUint32(view[vi], crc)
 			vi++
 		}
 		t.srv.ObserveTransform(time.Since(start))
+		t.srv.ChecksumMemoHits.Add(int64(hits))
+		t.srv.ChecksumMemoMisses.Add(int64(len(segs) - hits))
 	}
 	comp.view, comp.epoch, comp.vsegs, comp.aux, comp.xform, comp.n = view, epoch, segs, aux, xform, n
 	t.srv.ZeroCopyBytes.Add(int64(total))

@@ -21,9 +21,16 @@ import (
 // Beside it, crc32c sample readers on connections of their own have the
 // worker checksum those views outside the store lock: every record's
 // trailer must verify against the body it arrived with, and a stripe is
-// still one generation.
+// still one generation. The battery runs twice: once as is, and once
+// with the target's checksum memo already holding both records'
+// trailers for the seed generation, which the writer makes stale.
 func TestRaceGatheredWriteVsVecReads(t *testing.T) {
-	_, addr := startTarget(t, 32<<20, 32)
+	t.Run("cold", func(t *testing.T) { raceGatheredWriteVsVecReads(t, false) })
+	t.Run("memo-warm", func(t *testing.T) { raceGatheredWriteVsVecReads(t, true) })
+}
+
+func raceGatheredWriteVsVecReads(t *testing.T, warm bool) {
+	tgt, addr := startTarget(t, 32<<20, 32)
 	wr, err := Connect(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -40,6 +47,14 @@ func TestRaceGatheredWriteVsVecReads(t *testing.T) {
 	seed := bytes.Repeat([]byte{1}, 2*segLen)
 	if _, err := wr.WriteVec([]WSeg{{Src: seed[:segLen], Off: offs[0]}, {Src: seed[segLen:], Off: offs[1]}}); err != nil {
 		t.Fatal(err)
+	}
+	if warm {
+		recs := []vecSeg{{off: uint64(offs[0]), n: segLen}, {off: uint64(offs[1]), n: segLen}}
+		readCRC(t, rd, recs...)
+		readCRC(t, rd, recs...)
+		if st := tgt.ServerStats(); st.ChecksumMemoHits != 2 || st.ChecksumMemoMisses != 2 {
+			t.Fatalf("warming the memo: %d hits %d misses, want 2 and 2", st.ChecksumMemoHits, st.ChecksumMemoMisses)
+		}
 	}
 
 	stop := make(chan struct{})

@@ -59,6 +59,8 @@ func WriteServerSnapshot(w io.Writer, s metrics.ServerSnapshot, labels ...Label)
 	WriteCounter(w, "dlfs_server_assembled_samples_total", "Records assembled near-data for offload commands.", s.AssembledSamples, labels...)
 	WriteCounter(w, "dlfs_server_assembled_bytes_total", "Post-transform record bytes returned by offload commands.", s.AssembledBytes, labels...)
 	WriteGauge(w, "dlfs_server_transform_seconds_total", "Cumulative server-side transform time.", float64(s.TransformNanos)/1e9, labels...)
+	WriteCounter(w, "dlfs_server_checksum_memo_hits_total", "crc32c-assembled records whose trailer came from the target's memo.", s.ChecksumMemoHits, labels...)
+	WriteCounter(w, "dlfs_server_checksum_memo_misses_total", "crc32c-assembled records checksummed where they lie.", s.ChecksumMemoMisses, labels...)
 	WriteCounter(w, "dlfs_server_write_bytes_total", "Write payload bytes landed in the store.", s.WriteBytes, labels...)
 	WriteCounter(w, "dlfs_server_write_vec_cmds_total", "Gathered write commands served.", s.VecWriteCmds, labels...)
 	WriteCounter(w, "dlfs_server_write_vec_segments_total", "Extents carried by gathered writes.", s.VecWriteSegs, labels...)

@@ -238,6 +238,23 @@ func TestConsensusCollector(t *testing.T) {
 	}
 }
 
+// TestServerSnapshotChecksumMemoSeries: the target's checksum-memo pair
+// is exported under the names README.md gives.
+func TestServerSnapshotChecksumMemoSeries(t *testing.T) {
+	var b strings.Builder
+	obs.WriteServerSnapshot(&b, metrics.ServerSnapshot{ChecksumMemoHits: 7, ChecksumMemoMisses: 3}, obs.Label{Name: "target", Value: "t0"})
+	ss := parseProm(t, b.String())
+	lbl := map[string]string{"target": "t0"}
+	for name, want := range map[string]float64{
+		"dlfs_server_checksum_memo_hits_total":   7,
+		"dlfs_server_checksum_memo_misses_total": 3,
+	} {
+		if got, n := sumOf(ss, name, lbl); n != 1 || got != want {
+			t.Fatalf("%s: scraped %g (%d series), want %g", name, got, n, want)
+		}
+	}
+}
+
 // TestEndpointEndToEnd is the full loop the ISSUE asks for: targets and
 // a live mount run with stage histograms on, an epoch flows through, and
 // the scraped /metrics text must agree with the in-process snapshots.

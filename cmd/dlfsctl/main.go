@@ -128,7 +128,6 @@ func cmdSmoke(args []string) {
 	targets := fs.Int("targets", 3, "local TCP targets to start")
 	n := fs.Int("n", 500, "samples")
 	size := fs.Int("size", 4096, "sample size")
-	epochs := fs.Int("epochs", 1, "epochs to drain (a target's crc32c memo hits from the second on)")
 	qps := fs.Int("qps", 0, "queue pairs per target (0 takes the default)")
 	serverAssembly := fs.Bool("server-assembly", false, "offload sample extraction to the targets (opReadSamples)")
 	tenant := fs.Int("tenant", 0, "tenant id stamped on every command (0 = legacy tenant)")
@@ -208,31 +207,28 @@ func cmdSmoke(args []string) {
 		fmt.Printf("target %d: blackholed\n", *dead)
 	}
 
-	bad := 0
-	for e := 0; e < *epochs; e++ {
-		ep, err := lfs.Sequence(time.Now().UnixNano())
-		if err != nil {
-			fatal(err)
-		}
-		start = time.Now()
-		items, err := ep.Drain()
-		var derr *live.DegradedError
-		if errors.As(err, &derr) {
-			fmt.Printf("epoch degraded: %d samples skipped on targets %v\n", derr.Samples, derr.Nodes)
-		} else if err != nil {
-			fatal(err)
-		}
-		elapsed := time.Since(start)
-		for _, it := range items {
-			if dataset.ChecksumBytes(it.Data) != ds.Checksum(it.Index) {
-				bad++
-			}
-		}
-		fmt.Printf("epoch: %d samples in %.3fs (%s), %d checksum failures\n",
-			len(items), elapsed.Seconds(),
-			metrics.HumanRate(float64(len(items))/elapsed.Seconds()), bad)
-		lfs.RecycleItems(items)
+	ep, err := lfs.Sequence(time.Now().UnixNano())
+	if err != nil {
+		fatal(err)
 	}
+	start = time.Now()
+	items, err := ep.Drain()
+	var derr *live.DegradedError
+	if errors.As(err, &derr) {
+		fmt.Printf("epoch degraded: %d samples skipped on targets %v\n", derr.Samples, derr.Nodes)
+	} else if err != nil {
+		fatal(err)
+	}
+	elapsed := time.Since(start)
+	bad := 0
+	for _, it := range items {
+		if dataset.ChecksumBytes(it.Data) != ds.Checksum(it.Index) {
+			bad++
+		}
+	}
+	fmt.Printf("epoch: %d samples in %.3fs (%s), %d checksum failures\n",
+		len(items), elapsed.Seconds(),
+		metrics.HumanRate(float64(len(items))/elapsed.Seconds()), bad)
 	if *write {
 		ck, err := lfs.Checkpointer(live.CheckpointConfig{})
 		if err != nil {

@@ -28,14 +28,18 @@ func TestEpochSmallSamplesAllocs(t *testing.T) {
 
 // TestEpochLargeSamplesAllocs is the twin for samples that land one to a
 // buffer (perSampleLanding) in units of a few: here the fetch path's
-// per-group and per-command bookkeeping is the whole count, at most 1.8
-// allocations per sample. Measured 1.4, and 1.6-1.7 under the race
-// detector, whose dropped Puts refill the command and header pools as
-// well; it was 1.9 and 2.1-2.2 while dispatch allocated each fetchGroup
-// and its units slice.
+// per-group and per-command bookkeeping is the whole count. It reads
+// 1.40-1.43, and 1.58-1.70 under the race detector, whose dropped Puts
+// refill the command and header pools as well; a fetchGroup and a units
+// slice allocated per group add 0.5 to either. So a bound per mode, each
+// with room over its readings and under readings plus 0.5.
 func TestEpochLargeSamplesAllocs(t *testing.T) {
-	if perSample := epochAllocsPerSample(t, 600, 96<<10); perSample > 1.8 {
-		t.Fatalf("%.3f allocations per sample, want <= 1.8", perSample)
+	bound := 1.65
+	if raceDetector {
+		bound = 1.95
+	}
+	if perSample := epochAllocsPerSample(t, 600, 96<<10); perSample > bound {
+		t.Fatalf("%.3f allocations per sample, want <= %.2f", perSample, bound)
 	}
 }
 

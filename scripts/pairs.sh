@@ -19,15 +19,24 @@ out="$root/.bench_build/pairs"
 rm -rf "$out/ref" && mkdir -p "$out/ref"
 git archive "$ref" | tar -x -C "$out/ref"
 
-# run SIDE DIR SEED: the result line (the last one) of one run.
+# run SIDE DIR SEED: the result line (the last one) of one run. A run that
+# fails, or leaves no result line, stops the script: no summary is printed
+# from part of the pairs.
 run() {
 	(cd "$2" && bash bench/run.sh --workload "$w" --seed "$3" --seconds "$secs" --trace 0) | tail -n 1 >"$out/$1-$3.json"
+	grep -q '"failed":' "$out/$1-$3.json" || {
+		echo "pairs: $1 seed $3 left no result line" >&2
+		exit 1
+	}
 }
 for seed in $(seq 1 "$n"); do
+	# One run a line: errexit skips every command of an && list but the last.
 	if ((seed % 2)); then
-		run ref "$out/ref" "$seed" && run new "$root" "$seed"
+		run ref "$out/ref" "$seed"
+		run new "$root" "$seed"
 	else
-		run new "$root" "$seed" && run ref "$out/ref" "$seed"
+		run new "$root" "$seed"
+		run ref "$out/ref" "$seed"
 	fi
 	echo "pair $seed of $n done" >&2
 done
